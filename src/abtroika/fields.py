@@ -8,6 +8,7 @@ electron's potential vanishes outside the light cone of its motion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "FieldSample",
     "SingularFieldPoint",
     "SolenoidPotentialTable",
+    "solenoid_table",
     "a_solenoid",
     "a_electron_retarded",
     "a_dot_electron",
@@ -98,7 +100,7 @@ class SolenoidPotentialTable:
         self.z = np.linspace(0.0, z_max, n_z)
         zs = model.loop_positions()
         vals = np.zeros((n_rho, n_z))
-        chunk = max(1, int(2e6 // len(zs)))
+        chunk = max(1, int(2e6 // (len(zs) * n_z)))  # rows of ~2e6 loop terms
         for i0 in range(0, n_rho, chunk):
             sl = slice(i0, min(i0 + chunk, n_rho))
             rr = self.rho[sl][:, None, None]
@@ -131,6 +133,14 @@ class SolenoidPotentialTable:
         out[:, 0] = -pts[:, 1] / rs * mag
         out[:, 1] = pts[:, 0] / rs * mag
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def solenoid_table(model: SolenoidModel, rho_max: float,
+                   z_max: float) -> SolenoidPotentialTable:
+    """The potential table of one solenoid over one extent, built once and
+    shared by every later caller (the table is never modified)."""
+    return SolenoidPotentialTable(model, rho_max, z_max)
 
 
 def a_solenoid(model: SolenoidModel, x):

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    SolenoidPotentialTable,
     a_dot_electron,
     a_electron_retarded,
     a_solenoid,
+    solenoid_table,
 )
 from .geometry import (
     Sense,
@@ -220,7 +220,7 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     if spec is None:
         spec = QuadratureSpec(abs_tol=5e-5, rel_tol=1e-3, max_subdivisions=4000)
     T = traj.traverse_time
-    asol_table = SolenoidPotentialTable(model, rho_max * 1.01, z_max * 1.01)
+    asol_table = solenoid_table(model, rho_max * 1.01, z_max * 1.01)
 
     def f_cart(pts):
         adot = a_dot_electron(traj, smear, pts, T, step=fd_step, fast=True)

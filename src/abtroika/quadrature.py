@@ -287,13 +287,22 @@ def adaptive_nd(f, box, spec: QuadratureSpec = QuadratureSpec(),
         nsub += nsplit
 
 
-def retarded_time_solve(traj, x, t, iterations: int = 70):
+_RETARDED_MAX_ITER = 100
+
+
+def retarded_time_solve(traj, x, t):
     """Retarded time t_r in [0, t] with |x - x_el(t_r)| = t - t_r.
 
     Uniqueness holds because the source speed is < 1 (the defect
     g(t_r) = (t - t_r) - |x - x_el(t_r)| is strictly decreasing).  Points the
     signal has not reached yet (g(0) < 0) get NaN, meaning "no contribution".
     Vectorized over x of shape (N, 3); t may be scalar or (N,).
+
+    Safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) from the
+    static guess t - |x - x_el(t)|: the slope g' = -1 + n.v comes with the
+    position, a step that leaves the bracket [lo, hi] falls back to its
+    midpoint, and only unconverged points are iterated.  A point stops when
+    its step is below 4 eps t or its defect is at rounding level.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -301,21 +310,40 @@ def retarded_time_solve(traj, x, t, iterations: int = 70):
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
 
-    def defect(tr):
-        pos, _ = traj.point_velocity_extended(tr)
-        return (t - tr) - np.linalg.norm(x - pos, axis=-1)
-
+    pos0, _ = traj.point_velocity_extended(np.zeros(1))
+    reached = t - np.linalg.norm(x - pos0, axis=-1) >= 0.0
+    idx = np.flatnonzero(reached)
+    pos, _ = traj.point_velocity_extended(t[idx])
+    tr = np.full(n, np.nan)
+    tr[idx] = np.clip(t[idx] - np.linalg.norm(x[idx] - pos, axis=-1), 0.0, t[idx])
     lo = np.zeros(n)
     hi = t.copy()
-    reached = defect(lo) >= 0.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        gm = defect(mid)
-        take_hi = gm >= 0.0
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
-    tr = 0.5 * (lo + hi)
-    return np.where(reached, tr, np.nan)
+    eps = np.finfo(float).eps
+    xtol = 4.0 * eps * t
+    gtol = 8.0 * eps * (t + traj.radius)  # rounding level of the defect
+    for _ in range(_RETARDED_MAX_ITER):
+        if idx.size == 0:
+            break
+        ti = tr[idx]
+        pos, vel = traj.point_velocity_extended(ti)
+        rvec = x[idx] - pos
+        r = np.linalg.norm(rvec, axis=-1)
+        g = (t[idx] - ti) - r
+        slope = np.einsum("ij,ij->i", rvec, vel) / np.where(r > 0.0, r, 1.0) - 1.0
+        lo_i = np.where(g > 0.0, ti, lo[idx])
+        hi_i = np.where(g < 0.0, ti, hi[idx])
+        step = ti - g / slope
+        # strict: a step onto the bracket edge (g = 0 there) is kept, not bisected
+        bisect = (step < lo_i) | (step > hi_i)
+        step = np.where(bisect, 0.5 * (lo_i + hi_i), step)
+        done = (np.abs(step - ti) <= xtol[idx]) | (~bisect & (np.abs(g) <= gtol[idx]))
+        tr[idx], lo[idx], hi[idx] = step, lo_i, hi_i
+        idx = idx[~done]
+    if idx.size:
+        raise QuadratureError(
+            f"retarded-time solve did not converge in {_RETARDED_MAX_ITER} "
+            f"iterations at {idx.size} points")
+    return tr
 
 
 def loglog_slope(samples):

@@ -251,6 +251,7 @@ def test_criterion_12_scaling_law():
              f"{a2err / a2v:.2e} (<1%), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_13_cross_formulation():
     t0 = time.time()
     r24 = a_modes_crosscheck(0.1, 1.0, 1.0, grid_n=24)
@@ -267,6 +268,7 @@ def test_criterion_13_cross_formulation():
              f"{['%.2e' % r for r in rels]}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_14_visibility():
     t0 = time.time()
     res = visibility_report(0.1, 1.0, fine_structure=1.0 / 137.036,

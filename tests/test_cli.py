@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from abtroika import cli
 from abtroika.config import ConfigError, RunConfig
 from abtroika.cli import run
 
@@ -164,6 +165,14 @@ def test_phases_stage_small(tmp_path):
     assert rep["checks"]["naive_double_count"]["pass"] is True
     pr = rep["phase_report"]
     np.testing.assert_allclose(pr["phi2"], pr["phi21"] + pr["phi22"], rtol=1e-12)
+
+
+def test_phases_stage_builds_one_solenoid_table(table_builds):
+    # phi1 at eta and its 2 eta sensitivity rerun share one potential table
+    cfg = RunConfig.from_text("beta = 0.3\nn_loops = 10\nrho_max_over_r = 2\n")
+    payload, _ = cli.stage_phases(cfg)
+    assert len(table_builds) == 1
+    assert payload["phase_report"]["identity_residuals"]["phi1_eta_sensitivity"] > 0
 
 
 def test_console_entry_point(tmp_path):

@@ -233,6 +233,7 @@ def test_visibility_report_with_phase():
     assert abs(res.overlap_phase) < 1e-6 * res.phase_scale
 
 
+@pytest.mark.slow
 def test_sweep_rows():
     rows = decoherence_sweep([0.1], [0.5, 1.0], fine_structure=1.0 / 137.036)
     assert len(rows) == 2

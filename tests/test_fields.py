@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from abtroika.fields import (
     a_solenoid,
     loop_a_phi,
     sample_fields,
+    solenoid_table,
 )
 from abtroika.geometry import (
     Sense,
@@ -106,6 +109,21 @@ def test_solenoid_wire_singularity():
     zs = LOOPS.loop_positions()
     with pytest.raises(SingularFieldPoint):
         a_solenoid(LOOPS, np.array([[0.5, 0.0, zs[0]]]))
+
+
+def test_solenoid_table_built_once_per_model_and_extent(table_builds):
+    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=4, length=2.0)
+    table = solenoid_table(model, 3.0, 4.0)
+    # an equal model built separately is the same cache key
+    assert solenoid_table(dataclasses.replace(model), 3.0, 4.0) is table
+    assert len(table_builds) == 1
+    other_model = solenoid_table(dataclasses.replace(model, n_loops=6), 3.0, 4.0)
+    other_rho = solenoid_table(model, 2.5, 4.0)
+    assert len(table_builds) == 3
+    assert other_model is not table and other_rho is not table
+    # the row-chunked build still reproduces the exact loop sum
+    x = np.array([[1.3, 0.4, 0.7], [0.1, -2.0, 1.9]])
+    np.testing.assert_allclose(table(x), a_solenoid(model, x), rtol=1e-6)
 
 
 def test_retarded_causality_zero_before_arrival():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abtroika import quadrature
 from abtroika.geometry import Sense, TrajectoryHalfCircle
 from abtroika.quadrature import (
     QuadratureError,
@@ -186,6 +187,80 @@ def test_retarded_time_against_grid_scan():
         pr, _ = traj.point_velocity_extended(np.array([tr[i]]))
         resid = abs(np.linalg.norm(p - pr[0]) - (t - tr[i]))
         assert resid < 1e-10
+
+
+def _bisection_retarded_time(traj, x, t, iterations=70):
+    """Reference solver: fixed-step bisection of the retarded-time defect."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],)).astype(float)
+
+    def defect(tr):
+        pos, _ = traj.point_velocity_extended(tr)
+        return (t - tr) - np.linalg.norm(x - pos, axis=-1)
+
+    lo = np.zeros(len(t))
+    hi = t.copy()
+    reached = defect(lo) >= 0.0
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        take_hi = defect(mid) >= 0.0
+        lo = np.where(take_hi, mid, lo)
+        hi = np.where(take_hi, hi, mid)
+    return np.where(reached, 0.5 * (lo + hi), np.nan)
+
+
+def _record_position_calls(monkeypatch):
+    """List that receives the number of times of every trajectory lookup."""
+    sizes = []
+    original = TrajectoryHalfCircle.point_velocity_extended
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.9])
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+@pytest.mark.parametrize("t_over_T", [0.0, 0.01, 1.0, 1.0 + 5e-4])
+def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T):
+    traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT, ramp_fraction=eta)
+    t = t_over_T * traj.traverse_time
+    start = traj.point_velocity_extended(np.zeros(1))[0][0]
+    rng = np.random.default_rng(7)
+    half = 1.2 * max(t, 0.05)
+    cloud = start + rng.uniform(-half, half, (1500, 3))
+    # points on the start-up front, where g(0) is zero up to rounding
+    dirs = rng.normal(size=(300, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = 1.0 + np.linspace(-4, 4, 300) * np.finfo(float).eps
+    front = start + (t * scale)[:, None] * dirs
+    x = np.vstack([cloud, front, start[None, :]])
+
+    calls = _record_position_calls(monkeypatch)
+    tr = retarded_time_solve(traj, x, t)
+    newton_iterations = len(calls) - 2  # the front test and the static guess
+
+    ref = _bisection_retarded_time(traj, x, t)
+    np.testing.assert_array_equal(np.isnan(tr), np.isnan(ref))
+    ok = ~np.isnan(ref)
+    assert ok.any()
+    assert np.all(np.abs(tr[ok] - ref[ok]) <= 1e-13 * t)
+    assert np.all((tr[ok] >= 0.0) & (tr[ok] <= t))
+    assert newton_iterations < quadrature._RETARDED_MAX_ITER
+
+
+def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
+    traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
+    t = traj.traverse_time
+    x = np.random.default_rng(3).uniform(-4, 4, (4000, 3))
+    points = _record_position_calls(monkeypatch)
+    retarded_time_solve(traj, x, t)
+    # every later pass works on a shrinking subset; bisection would spend 71 N
+    assert all(b <= a for a, b in zip(points[2:], points[3:]))
+    assert sum(points) < 8 * len(x)
 
 
 def test_loglog_slope_powers():
