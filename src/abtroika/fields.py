@@ -181,19 +181,15 @@ def _retarded_point(traj, x, t, charge_fraction=1.0):
     n = x.shape[0]
     if np.all(np.asarray(t) <= 0.0):
         return np.zeros((n, 3))  # currents vanish before the motion starts
-    tr = retarded_time_solve(traj, x, t)
+    _, reached, pos, vel = retarded_time_solve(traj, x, t)
     out = np.zeros((n, 3))
-    ok = ~np.isnan(tr)
-    if not np.any(ok):
-        return out
-    pos, vel = traj.point_velocity_extended(tr[ok])
-    rvec = x[ok] - pos
+    rvec = x[reached] - pos
     r = np.linalg.norm(rvec, axis=-1)
     denom = r - np.einsum("ij,ij->i", rvec, vel)
     if np.any(denom < 1e-12 * max(traj.radius, 1.0)):
         raise SingularFieldPoint("field point on the electron itself")
     q = traj.charge * charge_fraction
-    out[ok] = q * vel / (4 * np.pi * denom[:, None])
+    out[reached] = q * vel / (4 * np.pi * denom[:, None])
     return out
 
 

@@ -303,6 +303,9 @@ def retarded_time_solve(traj, x, t):
     position, a step that leaves the bracket [lo, hi] falls back to its
     midpoint, and only unconverged points are iterated.  A point stops when
     its step is below 4 eps t or its defect is at rounding level.
+    Returns (t_r, points, pos, vel): t_r of shape (N,), the indices of the
+    reached points, and the source position and velocity (len(points), 3)
+    at each one's last iterate, which lies within rounding of its t_r.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -315,6 +318,7 @@ def retarded_time_solve(traj, x, t):
     idx = np.flatnonzero(reached)
     pos, _ = traj.point_velocity_extended(t[idx])
     tr = np.full(n, np.nan)
+    finished = [(idx[:0], np.empty((0, 3)), np.empty((0, 3)))]
     tr[idx] = np.clip(t[idx] - np.linalg.norm(x[idx] - pos, axis=-1), 0.0, t[idx])
     lo = np.zeros(n)
     hi = t.copy()
@@ -338,12 +342,17 @@ def retarded_time_solve(traj, x, t):
         step = np.where(bisect, 0.5 * (lo_i + hi_i), step)
         done = (np.abs(step - ti) <= xtol[idx]) | (~bisect & (np.abs(g) <= gtol[idx]))
         tr[idx], lo[idx], hi[idx] = step, lo_i, hi_i
+        if done.any():
+            # kept in finishing order: a scatter into (N, 3) arrays costs
+            # more than evaluating the trajectory again
+            finished.append((idx[done], pos.compress(done, axis=0),
+                             vel.compress(done, axis=0)))
         idx = idx[~done]
     if idx.size:
         raise QuadratureError(
             f"retarded-time solve did not converge in {_RETARDED_MAX_ITER} "
             f"iterations at {idx.size} points")
-    return tr
+    return (tr,) + tuple(np.concatenate(parts) for parts in zip(*finished))
 
 
 def loglog_slope(samples):

@@ -268,7 +268,6 @@ def test_criterion_13_cross_formulation():
              f"{['%.2e' % r for r in rels]}, {elapsed:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_14_visibility():
     t0 = time.time()
     res = visibility_report(0.1, 1.0, fine_structure=1.0 / 137.036,

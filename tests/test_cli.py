@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from abtroika import cli
+from abtroika import cli, decoherence
 from abtroika.config import ConfigError, RunConfig
 from abtroika.cli import run
 
@@ -140,6 +140,16 @@ def test_decoherence_stage_small(tmp_path):
     csv_lines = (out / "sweep_decoherence.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "beta,lambda,a1,a2,a_total,visibility,phase_c1,err_a1,err_a2"
     assert len(csv_lines) == 1 + 2 * 4
+
+
+def test_decoherence_stage_bad_bessel_sum_exit_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(decoherence, "jv",
+                        lambda n, x: np.full(np.broadcast(n, x).shape, np.nan))
+    cfg = write(tmp_path, SMALL)
+    assert run("decoherence", cfg, str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure in stage 'decoherence'" in err
+    assert "beta = 0.3, lam = 1 on the k-segment" in err
 
 
 def test_modes_stage_small(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
+from abtroika import decoherence
 from abtroika.decoherence import (
     a1_smeared,
     a2_smeared,
@@ -12,7 +14,7 @@ from abtroika.decoherence import (
     visibility_report,
 )
 from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
-from abtroika.quadrature import loglog_slope
+from abtroika.quadrature import QuadratureError, loglog_slope
 
 
 # ------------------------------------------------------------ reduced terms
@@ -158,6 +160,83 @@ def test_current_current_self_positive():
     assert a_s + a_c > 0
 
 
+def _a_current_current_per_order(beta, lam, fine_structure, k_max, n_mu=96,
+                                 n_extra=25):
+    """Oracle: the order sum over n = -nmax .. nmax with one jv call per
+    order, k node and shifted order, as in the unfolded formula."""
+    T = np.pi / beta
+    xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
+    nseg = int(np.ceil(k_max))
+    xmu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    mu = 0.5 * (xmu + 1.0)
+    a_self = a_cross = 0.0
+    for s in range(nseg):
+        lo, hi = s * k_max / nseg, (s + 1) * k_max / nseg
+        for k, wk in zip(0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg):
+            kperp = k * np.sqrt(1.0 - mu**2)
+            S2 = decoherence._smear_sq(k * mu, lam)
+            nmax = int(k + n_extra)
+            n = np.arange(-nmax, nmax + 1)
+            JJ = (jv(n[None, :] - 1, kperp[:, None]) ** 2
+                  + jv(n[None, :] + 1, kperp[:, None]) ** 2)
+            Ep = decoherence._endpoint_factor(k + n * beta, T)
+            Em = decoherence._endpoint_factor(k - n * beta, T)
+            self_t = np.abs(Ep) ** 2 + np.abs(Em) ** 2
+            cross_t = 2.0 * np.real(Ep * np.conj(Em))
+            a_self += wk * k * float(np.dot(wmu, S2 * (JJ @ self_t)))
+            a_cross += wk * k * float(np.dot(wmu, S2 * (JJ @ cross_t)))
+    pref = fine_structure * beta**2 / (32.0 * np.pi**2)
+    return pref * a_self, pref * a_cross
+
+
+@pytest.mark.parametrize("beta, lam, k_max", [
+    (0.1, 2.0, 4.0), (0.05, 4.0, 2.0), (0.2, 2.0, 4.0), (0.3, 1.0, 12.0),
+    pytest.param(0.1, 1.0, 40.0, marks=pytest.mark.slow)])
+def test_current_current_matches_per_order_sum(beta, lam, k_max):
+    a_s, a_c = a_current_current(beta, lam, 1.0, k_max=k_max)
+    ref_s, ref_c = _a_current_current_per_order(beta, lam, 1.0, k_max)
+    assert abs(a_s - ref_s) <= 1e-12 * abs(ref_s)
+    assert abs(a_c - ref_c) <= 1e-12 * abs(ref_c)
+
+
+def test_bessel_recurrence_matches_jv():
+    j0_zeros = [2.404825557695773, 5.520078110286311, 8.653727912911013]
+    x = np.sort(np.concatenate([np.geomspace(1e-6, 100.0, 57), j0_zeros]))
+    top = int(x.max()) + 30
+    orders = np.arange(top + 1)
+    # one coefficient set per order picks out J_m^2
+    unit = np.eye(top + 1)[:, None, :]
+    squares = decoherence._bessel_square_sums(x[None, :], unit)[:, 0, :]
+    wanted = orders[:, None] <= x[None, :] + 30
+    exact = jv(orders[:, None], x[None, :]) ** 2
+    assert np.all(np.abs(squares - exact)[wanted] <= 1e-14)
+    # above the turning point J_m decays without zeros; the recurrence must
+    # hold it to rounding there too, up to the top order asked for
+    decaying = (orders[:, None] > x[None, :] + 1) & (exact > 1e-280)
+    rel = np.abs(squares - exact)[decaying] / exact[decaying]
+    assert rel.max() <= 1e-12
+    weights = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 1, top + 1))
+    total = decoherence._bessel_square_sums(x[None, :], weights)[0, 0]
+    np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13, atol=1e-14)
+
+
+def test_current_current_tiny_arguments():
+    # k -> 0 and mu -> 1 drive the recurrence through its rescaling at every
+    # step (growth 2m/x ~ 1e10); nothing may overflow or turn NaN
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        a_s, a_c = a_current_current(0.1, 1.0, 1.0, k_max=1e-4, n_mu=400)
+    ref_s, ref_c = _a_current_current_per_order(0.1, 1.0, 1.0, 1e-4, n_mu=400)
+    assert np.isfinite(a_s) and np.isfinite(a_c) and a_s > 0
+    assert abs(a_s - ref_s) <= 1e-12 * ref_s
+    assert abs(a_c - ref_c) <= 1e-12 * abs(ref_c)
+
+
+def test_current_current_non_finite_sum_raises(monkeypatch):
+    monkeypatch.setattr(decoherence, "jv", lambda n, x: np.full(np.broadcast(n, x).shape, np.nan))
+    with pytest.raises(QuadratureError, match=r"beta = 0.2, lam = 1 on the k-segment \[0, 1\]"):
+        a_current_current(0.2, 1.0, 1.0, k_max=4.0)
+
+
 def test_modes_crosscheck_small_grid():
     r = a_modes_crosscheck(0.3, 1.0, 1.0, grid_n=14)
     assert r["rel_difference"] < 0.05
@@ -233,7 +312,6 @@ def test_visibility_report_with_phase():
     assert abs(res.overlap_phase) < 1e-6 * res.phase_scale
 
 
-@pytest.mark.slow
 def test_sweep_rows():
     rows = decoherence_sweep([0.1], [0.5, 1.0], fine_structure=1.0 / 137.036)
     assert len(rows) == 2

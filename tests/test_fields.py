@@ -22,6 +22,7 @@ from abtroika.geometry import (
     mirror_map,
     mirror_vector,
 )
+from abtroika.quadrature import retarded_time_solve
 
 IDEAL = SolenoidModel(1.0, np.pi, SolenoidKind.IDEAL_INFINITE)
 LOOPS = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=200, length=10.0)
@@ -149,6 +150,36 @@ def test_retarded_static_loop_oracle():
     phihat = np.stack([-pts[:, 1] / rho, pts[:, 0] / rho, np.zeros(len(pts))], axis=-1)
     expected = loop_a_phi(a_l, current, rho, pts[:, 2])[:, None] * phihat
     np.testing.assert_allclose(A, expected, rtol=0, atol=1e-6 * np.abs(expected).max())
+
+
+def test_retarded_point_reuses_the_solver_state(monkeypatch):
+    # the potential comes from the source state of the solver's last
+    # iterate; re-evaluating the trajectory at t_r gives the same field
+    traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
+    t = traj.traverse_time
+    x = np.random.default_rng(9).uniform(-6.0, 6.0, (2000, 3))
+    tr = retarded_time_solve(traj, x, t)[0]
+    ok = ~np.isnan(tr)
+    pos, vel = traj.point_velocity_extended(tr[ok])
+    rvec = x[ok] - pos
+    denom = np.linalg.norm(rvec, axis=-1) - np.einsum("ij,ij->i", rvec, vel)
+    expected = np.zeros_like(x)
+    expected[ok] = traj.charge * vel / (4 * np.pi * denom[:, None])
+
+    points = []
+    lookup = TrajectoryHalfCircle.point_velocity_extended
+
+    def counted(self, s):
+        points.append(np.size(s))
+        return lookup(self, s)
+
+    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+    A = a_electron_retarded(traj, POINT, x, t)
+    field_points = sum(points)
+    points.clear()
+    retarded_time_solve(traj, x, t)
+    assert field_points == sum(points)  # no lookup beyond the solver's own
+    np.testing.assert_allclose(A, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_retarded_mirror_antisymmetry():

@@ -147,7 +147,7 @@ def test_retarded_time_on_trajectory():
     traj = TrajectoryHalfCircle(1.0, 0.2, Sense.RIGHT)
     t = 0.4 * traj.traverse_time
     pos, _ = traj.point_velocity_extended(np.asarray(t))
-    tr = retarded_time_solve(traj, pos.reshape(1, 3), t)
+    tr = retarded_time_solve(traj, pos.reshape(1, 3), t)[0]
     np.testing.assert_allclose(tr, t, atol=1e-10)
 
 
@@ -155,14 +155,14 @@ def test_retarded_time_static_limit():
     traj = TrajectoryHalfCircle(1.0, 1e-6, Sense.RIGHT)
     x = np.array([[0.0, -1.0, 3.0]])  # distance 3 from the (nearly static) start
     t = 5.0
-    tr = retarded_time_solve(traj, x, t)
+    tr = retarded_time_solve(traj, x, t)[0]
     np.testing.assert_allclose(tr, t - 3.0, atol=1e-5)
 
 
 def test_retarded_time_not_reached_is_nan():
     traj = TrajectoryHalfCircle(1.0, 0.2, Sense.RIGHT)
     x = np.array([[100.0, 0.0, 0.0]])
-    tr = retarded_time_solve(traj, x, 1.0)
+    tr = retarded_time_solve(traj, x, 1.0)[0]
     assert np.isnan(tr).all()
 
 
@@ -172,7 +172,7 @@ def test_retarded_time_against_grid_scan():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-3, 3, (6, 3))
     t = 0.9 * T
-    tr = retarded_time_solve(traj, pts, t)
+    tr = retarded_time_solve(traj, pts, t)[0]
     # brute-force scan oracle
     grid = np.linspace(0.0, t, 1_000_001)
     pos, _ = traj.point_velocity_extended(grid)
@@ -240,7 +240,7 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     x = np.vstack([cloud, front, start[None, :]])
 
     calls = _record_position_calls(monkeypatch)
-    tr = retarded_time_solve(traj, x, t)
+    tr = retarded_time_solve(traj, x, t)[0]
     newton_iterations = len(calls) - 2  # the front test and the static guess
 
     ref = _bisection_retarded_time(traj, x, t)
@@ -261,6 +261,21 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     # every later pass works on a shrinking subset; bisection would spend 71 N
     assert all(b <= a for a, b in zip(points[2:], points[3:]))
     assert sum(points) < 8 * len(x)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.9])
+def test_retarded_time_state_is_source_at_retarded_time(beta):
+    traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT, ramp_fraction=0.01)
+    t = traj.traverse_time
+    x = np.random.default_rng(5).uniform(-1.5 * t, 1.5 * t, (3000, 3))
+    tr, points, pos, vel = retarded_time_solve(traj, x, t)
+    reached = np.flatnonzero(~np.isnan(tr))
+    assert 0 < reached.size < len(x)
+    np.testing.assert_array_equal(np.sort(points), reached)
+    # the last iterate lies within rounding of t_r, so the source state does too
+    ref_pos, ref_vel = traj.point_velocity_extended(tr[points])
+    np.testing.assert_allclose(pos, ref_pos, rtol=0, atol=1e-12 * t)
+    np.testing.assert_allclose(vel, ref_vel, rtol=0, atol=1e-12)
 
 
 def test_loglog_slope_powers():
