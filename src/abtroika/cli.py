@@ -150,7 +150,9 @@ def stage_modes(cfg: RunConfig, out_dir: str = "."):
     J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 3))
     t_end = 4.0 / om.min()
     steps = int(np.ceil(om.max() * t_end / 0.02))
-    st = evolve_mode(ModeState.vacuum(grid, lambda t: J0), t_end / steps, steps)
+    st = evolve_mode(
+        ModeState.vacuum(grid, lambda t: np.broadcast_to(J0, (len(t),) + J0.shape)),
+        t_end / steps, steps)
     closed = J0 * ((1 - np.exp(-1j * om * t_end)) / (om * np.sqrt(2 * om)))[:, None]
     residuals["constant_drive_vs_closed_form"] = float(
         np.max(np.abs(st.alpha - closed)))

@@ -132,7 +132,9 @@ def test_criterion_06_mode_solution():
     J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 3))
     t_end = 4.0 / om.min()
     steps = int(np.ceil(om.max() * t_end / 0.02))
-    st = evolve_mode(ModeState.vacuum(grid, lambda t: J0), t_end / steps, steps)
+    st = evolve_mode(
+        ModeState.vacuum(grid, lambda t: np.broadcast_to(J0, (len(t),) + J0.shape)),
+        t_end / steps, steps)
     closed = J0 * ((1 - np.exp(-1j * om * t_end)) / (om * np.sqrt(2 * om)))[:, None]
     err_const = float(np.max(np.abs(st.alpha - closed)))
     tr = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT)

@@ -1,10 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
 from abtroika.modes import (
+    _GL8,
     ModeGrid,
     ModeState,
+    _rk4_chunk,
+    _smear_factor,
+    _time_segments,
     analytic_mode,
     b_relation_residual,
     classical_field_modes,
@@ -17,6 +24,7 @@ from abtroika.modes import (
     random_smooth_state,
     riccati_stationarity,
     state_from_fields,
+    traverse_difference_drive,
 )
 
 POINT = SmearingProfile()
@@ -35,7 +43,6 @@ def test_cartesian_grid_symmetric_no_zero():
     assert g.omega.min() > 0
     neg = g.neg_index()
     np.testing.assert_allclose(g.k_points[neg], -g.k_points, atol=0)
-    assert g.polarization_count == 3
 
 
 def test_spherical_grid_symmetric():
@@ -54,10 +61,13 @@ def test_fft_grid_pairing():
     np.testing.assert_allclose(g.k_points[neg], -g.k_points, atol=1e-12)
 
 
-def test_squeeze_hook_rejected():
-    g = ModeGrid.cartesian(4, 2.0)
-    with pytest.raises(NotImplementedError):
-        ModeState(g, np.zeros((g.n_modes, 3), complex), 0j, 0.0, squeeze_f=0.3)
+def test_neg_index_computed_once():
+    g = ModeGrid.fft_pair(8, 6.0)
+    first = g.neg_index()
+    # the same read-only array comes back: nothing is recomputed
+    assert g.neg_index() is first
+    assert not first.flags.writeable
+    np.testing.assert_array_equal(first, ModeGrid.fft_pair(8, 6.0).neg_index())
 
 
 # ---------------------------------------------------------------- evolution
@@ -80,7 +90,7 @@ def test_evolve_constant_drive_closed_form():
     J0 = (0.3 + 0.1j) * np.ones((g.n_modes, 3))
 
     def drive(t):
-        return J0
+        return np.broadcast_to(J0, (len(t),) + J0.shape)
 
     om = g.omega
     t_end = 4.0
@@ -156,6 +166,215 @@ def test_photon_number_free_evolution_invariant():
     dt = 0.01 / g.omega.max()
     st2 = evolve_mode(st, dt, 2000)
     assert abs(photon_number(st2) - n0) <= 1e-10 * max(n0, 1.0)
+
+
+# ------------------------------------------- batched drive against oracles
+# The per-time drive, the per-step RK4 and the nested-loop quadratures below
+# are the references for the time-batched forms in abtroika.modes.
+
+def _drive_oracle(traj, smear, grid):
+    """Traverse current one time at a time: t -> (n_modes, 3)."""
+    pref = (2 * np.pi) ** (-1.5) * traj.charge
+    S = _smear_factor(smear, grid.k_points[:, 2])
+    T = traj.traverse_time
+
+    def drive(t):
+        if t < 0.0 or t > T * (1 + 1e-13):
+            return np.zeros((grid.n_modes, 3), complex)
+        pos, vel = traj.point_velocity_extended(np.asarray(min(t, T)))
+        phase = np.exp(-1j * (grid.k_points @ pos.reshape(3)))
+        return pref * (S * phase)[:, None] * vel.reshape(1, 3)
+
+    return drive
+
+
+def _evolve_oracle(state, dt, steps, drive):
+    """RK4 with four scalar-time drive calls per step; returns (alpha, c)."""
+    om = state.grid.omega
+    w = state.grid.weights
+    sq = np.sqrt(2.0 * om)
+
+    def rhs(t, alpha):
+        J = drive(t)
+        dalpha = -1j * (om[:, None] * alpha) + 1j * J / sq[:, None]
+        dc = 1j * np.sum(w[:, None] * np.conj(J) * alpha / sq[:, None])
+        return dalpha, dc
+
+    alpha = state.alpha.copy()
+    c = complex(state.c_phase)
+    t0 = state.time
+    for i in range(steps):
+        t = t0 + i * dt
+        k1a, k1c = rhs(t, alpha)
+        k2a, k2c = rhs(t + dt / 2, alpha + dt / 2 * k1a)
+        k3a, k3c = rhs(t + dt / 2, alpha + dt / 2 * k2a)
+        k4a, k4c = rhs(t + dt, alpha + dt * k3a)
+        alpha = alpha + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        c = c + dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
+    return alpha, c
+
+
+def _analytic_oracle(grid, t, drive):
+    """analytic_mode by nested per-node loops; returns (alpha, c)."""
+    om = grid.omega
+    sq = np.sqrt(2.0 * om)
+    w = grid.weights
+    xg, wg = _GL8
+    S = np.zeros((grid.n_modes, 3), complex)
+    c_im = 0.0
+    edges = _time_segments(t, float(om.max()))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        tsub = mid + half * xg
+        Jsub = [drive(ts) for ts in tsub]
+        for gi, ts in enumerate(tsub):
+            ihalf, imid = 0.5 * (ts - lo), 0.5 * (ts + lo)
+            part = np.zeros_like(S)
+            for gj, ti in enumerate(imid + ihalf * xg):
+                part += (ihalf * wg[gj]) * drive(ti) * np.exp(1j * om[:, None] * ti)
+            alpha_here = 1j / sq[:, None] * np.exp(-1j * om[:, None] * ts) * (S + part)
+            integrand = 1j * np.sum(w[:, None] * np.conj(Jsub[gi]) * alpha_here / sq[:, None])
+            c_im += (half * wg[gi]) * integrand.imag
+        for gj in range(8):
+            S = S + (half * wg[gj]) * Jsub[gj] * np.exp(1j * om * tsub[gj])[:, None]
+    alpha = 1j / sq[:, None] * np.exp(-1j * om[:, None] * t) * S
+    return alpha, -0.5 * np.sum(w[:, None] * np.abs(alpha) ** 2) + 1j * c_im
+
+
+def _classical_oracle(grid, t, drive):
+    """classical_field_modes by a per-node loop; returns (At, Vt)."""
+    om = grid.omega
+    xg, wg = _GL8
+    Ssin = np.zeros((grid.n_modes, 3), complex)
+    Scos = np.zeros_like(Ssin)
+    edges = _time_segments(t, float(om.max()))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        for gj in range(8):
+            ts = mid + half * xg[gj]
+            J = drive(ts)
+            Ssin += (half * wg[gj]) * J * np.sin(om[:, None] * ts)
+            Scos += (half * wg[gj]) * J * np.cos(om[:, None] * ts)
+    s, c = np.sin(om * t)[:, None], np.cos(om * t)[:, None]
+    return (s * Scos - c * Ssin) / om[:, None], c * Scos + s * Ssin
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("smear", [POINT, LINE])
+def test_drive_batch_matches_per_time_oracle(smear):
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(4, 2.0)
+    T = tr.traverse_time
+    drive = electron_drive(tr, smear, g)
+    oracle = _drive_oracle(tr, smear, g)
+    ts = np.array([-0.1, -1e-300, 0.0, 0.37 * T, 0.999 * T, T, T * (1 + 5e-14),
+                   T * (1 + 1e-12), 2.0 * T])
+    got = drive(ts)
+    assert got.shape == (len(ts), g.n_modes, 3)
+    np.testing.assert_allclose(got, np.stack([oracle(t) for t in ts]),
+                               rtol=1e-14, atol=0)
+    # zero outside the support, the final sample at T by a few ulp past it
+    assert np.all(got[[0, 1, 7, 8]] == 0)
+    assert np.all(got[6] == got[5]) and np.any(got[6] != 0)
+    assert drive(np.empty(0)).shape == (0, g.n_modes, 3)
+    diff = traverse_difference_drive(tr, smear, g)(ts)
+    mirror = electron_drive(tr.mirrored(), smear, g)(ts)
+    np.testing.assert_array_equal(diff, got - mirror)
+
+
+def test_drive_calls_per_chunk_and_none_after_support(monkeypatch):
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(4, 2.0)
+    T = tr.traverse_time
+    dt = 0.05 / g.omega.max()
+    chunk = _rk4_chunk(g.n_modes)
+    drive = electron_drive(tr, POINT, g)
+    batches = []
+
+    def counted(ts):
+        batches.append(len(ts))
+        return drive(ts)
+
+    steps = 2 * chunk + 1
+    evolve_mode(ModeState.vacuum(g, counted), dt, steps)
+    assert len(batches) == math.ceil(steps / chunk)
+    assert batches == [2 * chunk + 1, 2 * chunk + 1, 3]
+
+    st_T = analytic_mode(tr, POINT, g, T * (1 + 1e-9), drive=drive)
+    lookups = []
+    real = TrajectoryHalfCircle.point_velocity_extended
+
+    def lookup(self, t):
+        lookups.append(np.size(t))
+        return real(self, t)
+
+    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", lookup)
+    evolve_mode(st_T, dt, 3 * chunk)
+    assert lookups == []
+
+
+def test_free_evolution_bit_identical_to_per_step_oracle():
+    # the rounding of free evolution sets the photon-number drift check, so
+    # the batched RK4 must not move it by a single bit
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0)
+    T = tr.traverse_time
+    st = analytic_mode(tr, POINT, g, T * (1 + 1e-9))
+    dt = 0.01 / g.omega.max()
+    chunk = _rk4_chunk(g.n_modes)
+    for steps in (1, chunk - 1, chunk, chunk + 1):
+        for start in (st, replace(st, drive=None)):
+            got = evolve_mode(start, dt, steps)
+            alpha, c = _evolve_oracle(st, dt, steps, _drive_oracle(tr, POINT, g))
+            np.testing.assert_array_equal(got.alpha, alpha)
+            assert got.c_phase == c
+            assert photon_number(got) == photon_number(replace(got, alpha=alpha))
+
+
+def test_traverse_evolution_matches_per_step_oracle():
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0)
+    T = tr.traverse_time
+    dt = 0.1 / g.omega.max()
+    chunk = _rk4_chunk(g.n_modes)
+    drive = electron_drive(tr, LINE, g)
+    oracle = _drive_oracle(tr, LINE, g)
+    cases = [(0.0, n) for n in (1, chunk - 1, chunk, chunk + 1)]
+    # t0 != 0; the support ending on a half step and inside a step mid-chunk
+    cases += [(0.3 * T, 2 * chunk + 1), (T - 5.5 * dt, chunk + 1),
+              (T - 4.3 * dt, chunk + 1)]
+    for t0, steps in cases:
+        start = ModeState(g, np.zeros((g.n_modes, 3), complex), 0j, t0, drive)
+        if t0:
+            start = replace(start, alpha=analytic_mode(tr, LINE, g, t0).alpha,
+                            c_phase=0.1 + 0.2j)
+        got = evolve_mode(start, dt, steps)
+        alpha, c = _evolve_oracle(start, dt, steps, oracle)
+        assert _rel(got.alpha, alpha) <= 1e-13, (t0, steps)
+        assert abs(got.c_phase - c) <= 1e-13 * abs(c), (t0, steps)
+        assert got.time == t0 + steps * dt
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_quadratures_match_nested_loop_oracles(n):
+    # n = 4 takes all 64 inner nodes of a segment in one drive call, n = 6
+    # splits them into groups of outer nodes
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(n, 3.0)
+    T = tr.traverse_time
+    oracle = _drive_oracle(tr, LINE, g)
+    for t in (0.6 * T, T):
+        st = analytic_mode(tr, LINE, g, t)
+        alpha, c = _analytic_oracle(g, t, oracle)
+        assert _rel(st.alpha, alpha) <= 1e-13
+        assert abs(st.c_phase - c) <= 1e-13 * abs(c)
+        At, Vt = classical_field_modes(tr, LINE, g, t)
+        At_o, Vt_o = _classical_oracle(g, t, oracle)
+        assert _rel(At, At_o) <= 1e-13
+        assert _rel(Vt, Vt_o) <= 1e-13
 
 
 # ----------------------------------------------------------------- overlaps
