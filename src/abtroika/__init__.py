@@ -24,12 +24,10 @@ from .decoherence import (
     visibility_report,
 )
 from .fields import (
-    FieldSample,
     SingularFieldPoint,
     a_dot_electron,
     a_electron_retarded,
     a_solenoid,
-    sample_fields,
 )
 from .geometry import (
     Sense,
@@ -39,7 +37,6 @@ from .geometry import (
     SolenoidModel,
     TrajectoryHalfCircle,
     UnitsAndCouplings,
-    current_density,
     mirror_map,
     mirror_vector,
     position_velocity,

@@ -67,6 +67,10 @@ class RunConfig:
             raise ConfigError("solenoid radius a must satisfy a < R")
         if self.solenoid not in ("loops", "ideal"):
             raise ConfigError("solenoid must be 'loops' or 'ideal'")
+        if not 0.0 < self.eta < 0.5:
+            # the phases stage also runs phi1 at ramp fraction 2 eta, and the
+            # radiated field needs a ramped start
+            raise ConfigError(f"eta must satisfy 0 < eta < 0.5, got {self.eta}")
         if self.mode_grid_n < 2 or self.crosscheck_grid_n < 2:
             raise ConfigError("mode grid sizes must be >= 2")
         if self.kmax_sigma < 4.0:

@@ -460,8 +460,8 @@ def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
         spec = QuadratureSpec(abs_tol=5e-5, rel_tol=1e-3, max_subdivisions=1500)
 
     def fields(pts):
-        adr = a_dot_electron(right, smear, pts, T, fast=True, line_nodes=line_nodes)
-        adl = a_dot_electron(left, smear, pts, T, fast=True, line_nodes=line_nodes)
+        adr = a_dot_electron(right, smear, pts, T, line_nodes)
+        adl = a_dot_electron(left, smear, pts, T, line_nodes)
         ar = a_electron_retarded(right, smear, pts, T, line_nodes)
         al = a_electron_retarded(left, smear, pts, T, line_nodes)
         return adr + adl, ar - al

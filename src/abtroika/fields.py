@@ -9,7 +9,6 @@ electron's potential vanishes outside the light cone of its motion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ellipe, ellipk
@@ -23,39 +22,18 @@ from .geometry import (
 from .quadrature import retarded_time_solve
 
 __all__ = [
-    "FieldSample",
     "SingularFieldPoint",
     "SolenoidPotentialTable",
     "solenoid_table",
     "a_solenoid",
     "a_electron_retarded",
     "a_dot_electron",
-    "sample_fields",
     "loop_a_phi",
 ]
 
 
 class SingularFieldPoint(ValueError):
     """Field requested on (or numerically too close to) a source point."""
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Potentials at one spacetime point; a_cl = a_el + a_sol, and the
-    solenoid part is static so the time derivative is the electron's alone."""
-
-    at: tuple
-    a_el: np.ndarray
-    a_sol: np.ndarray
-    a_dot_el: np.ndarray
-
-    @property
-    def a_cl(self) -> np.ndarray:
-        return self.a_el + self.a_sol
-
-    @property
-    def a_dot_cl(self) -> np.ndarray:
-        return self.a_dot_el
 
 
 def loop_a_phi(loop_radius: float, current: float, rho, z):
@@ -171,25 +149,49 @@ def a_solenoid(model: SolenoidModel, x):
     return out
 
 
-def _retarded_point(traj, x, t, charge_fraction=1.0):
-    """Exact retarded potential of the (point) moving charge at (x, t).
+def _retarded_point(traj, x, t, derivative=False):
+    """Exact retarded potential of the (point) moving charge at (x, t), or
+    its time derivative, from one retarded-time solve.
 
-    A = q u(t_r) / (4 pi (r - r_vec . u)), the velocity-corrected retarded
-    denominator; zero where the start-up signal has not arrived.
+    A = q v / (4 pi D) with D = r - r_vec . v, everything at t_r.  Since
+    dt_r/dt = r / D and dD/dt_r = -n.v + v^2 - r_vec . a (Jackson 14.1),
+    dA/dt = q/(4 pi) (r/D) [a/D - v (dD/dt_r)/D^2].  Both vanish where the
+    start-up signal has not arrived.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
+    out = np.zeros((x.shape[0], 3))
     if np.all(np.asarray(t) <= 0.0):
-        return np.zeros((n, 3))  # currents vanish before the motion starts
-    _, reached, pos, vel = retarded_time_solve(traj, x, t)
-    out = np.zeros((n, 3))
+        return out  # currents vanish before the motion starts
+    tr, reached, pos, vel = retarded_time_solve(traj, x, t)
     rvec = x[reached] - pos
     r = np.linalg.norm(rvec, axis=-1)
-    denom = r - np.einsum("ij,ij->i", rvec, vel)
+    rv = np.einsum("ij,ij->i", rvec, vel)
+    denom = r - rv
     if np.any(denom < 1e-12 * max(traj.radius, 1.0)):
         raise SingularFieldPoint("field point on the electron itself")
-    q = traj.charge * charge_fraction
-    out[reached] = q * vel / (4 * np.pi * denom[:, None])
+    q = traj.charge
+    if not derivative:
+        out[reached] = q * vel / (4 * np.pi * denom[:, None])
+        return out
+    acc = traj.acceleration(tr[reached], pos, vel)
+    d_denom = np.einsum("ij,ij->i", vel, vel) - rv / r - np.einsum("ij,ij->i", rvec, acc)
+    out[reached] = (q * r / (4 * np.pi * denom))[:, None] * (
+        acc / denom[:, None] - vel * (d_denom / denom**2)[:, None])
+    return out
+
+
+def _line_sum(traj, smear, x, t, line_nodes, derivative):
+    """_retarded_point summed over the smearing's Gauss nodes (one node for
+    a point charge): each line element is retarded independently (smear
+    first, retard per element) and the element fields are summed with
+    Gauss weights."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    offs, wts = smear.offsets_weights(line_nodes)
+    out = np.zeros_like(x)
+    shift = np.zeros(3)
+    for dz, w in zip(offs, wts):
+        shift[2] = dz
+        out += w * _retarded_point(traj, x - shift, t, derivative)
     return out
 
 
@@ -197,76 +199,20 @@ def a_electron_retarded(traj: TrajectoryHalfCircle, smear: SmearingProfile, x, t
                         line_nodes: int = 16):
     """Retarded vector potential of the (possibly line-smeared) electron.
 
-    For LINE_Z each line element is retarded independently (smear first,
-    retard per element); the element fields are summed with Gauss weights.
     Vectorized over x of shape (N, 3); t scalar or (N,).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    offs, wts = smear.offsets_weights(line_nodes)
-    if len(offs) == 1:
-        return _retarded_point(traj, x, t)
-    out = np.zeros_like(x)
-    shift = np.zeros(3)
-    for dz, w in zip(offs, wts):
-        shift[2] = dz
-        out += w * _retarded_point(traj, x - shift, t)
-    return out
+    return _line_sum(traj, smear, x, t, line_nodes, derivative=False)
 
 
 def a_dot_electron(traj: TrajectoryHalfCircle, smear: SmearingProfile, x, t,
-                   step: float | None = None, with_error: bool = False,
-                   strict: bool = False, line_nodes: int = 16,
-                   fast: bool = False):
-    """Time derivative of the electron potential by centred differences.
+                   line_nodes: int = 16):
+    """Time derivative of the electron potential, in closed form from the
+    Lienard-Wiechert potential (one retarded-time solve per line node).
 
-    Richardson-extrapolated from steps h and h/2; the step-halving error
-    estimate is |D(h/2) - D(h)| / 3 per point.  The trajectory continues its
-    circular motion smoothly past the traverse time, so centred stencils at
-    t = T probe the still-moving source rather than an artificial stop.
-    With strict=True a non-converged difference (wavefront in the stencil)
-    raises SingularFieldPoint naming the front radius.  fast=True skips the
-    halving (single centred difference, for use inside adaptive quadratures).
+    The start must be ramped (ramp_fraction > 0): an impulsive start makes
+    dA/dt a delta shell on the start-up front, which no pointwise value
+    carries.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    T = traj.traverse_time
-    if step is None:
-        step = 1e-3 * T
-        if traj.ramp_fraction > 0:
-            step = min(step, 0.05 * traj.ramp_fraction * T)
-    h = min(step, 0.49 * t) if t > 0 else step
-
-    def deriv(hh):
-        ap = a_electron_retarded(traj, smear, x, t + hh, line_nodes)
-        am = a_electron_retarded(traj, smear, x, t - hh, line_nodes)
-        return (ap - am) / (2 * hh)
-
-    d1 = deriv(h)
-    if fast:
-        return d1
-    d2 = deriv(0.5 * h)
-    err = np.linalg.norm(d2 - d1, axis=-1) / 3.0
-    val = (4.0 * d2 - d1) / 3.0
-    if strict:
-        scale = np.linalg.norm(val, axis=-1) + 1e-30
-        bad = err > 0.05 * scale + 1e-12
-        if np.any(bad):
-            pos0, _ = traj.point_velocity_extended(np.zeros(1))
-            rfront = np.linalg.norm(x[bad][0] - pos0[0])
-            raise SingularFieldPoint(
-                f"time derivative not converged near the start-up wavefront "
-                f"(|x - x_start| = {rfront:.4g}, ct = {t:.4g}); use a ramped "
-                f"start (ramp_fraction > 0) or a smaller step")
-    if with_error:
-        return val, err
-    return val
-
-
-def sample_fields(traj, smear, model, x, t) -> FieldSample:
-    """Bundle of the classical potentials at one spacetime point."""
-    x = np.asarray(x, dtype=float).reshape(1, 3)
-    return FieldSample(
-        at=(tuple(x.ravel()), float(t)),
-        a_el=a_electron_retarded(traj, smear, x, t)[0],
-        a_sol=a_solenoid(model, x)[0],
-        a_dot_el=a_dot_electron(traj, smear, x, t)[0],
-    )
+    if traj.ramp_fraction == 0.0:
+        raise ValueError("a_dot_electron needs a ramped start (ramp_fraction > 0)")
+    return _line_sum(traj, smear, x, t, line_nodes, derivative=True)

@@ -88,9 +88,8 @@ class TrajectoryHalfCircle:
         """Arc length travelled and instantaneous speed at time t (array ok).
 
         Defined for all real t: at rest with zero arc before t = 0, and the
-        circular motion continues smoothly past the traverse time (needed for
-        centred time derivatives of the retarded field at t = T; currents are
-        only ever integrated over [0, T]).
+        circular motion continues past the traverse time (currents are only
+        ever integrated over [0, T]).
         """
         t = np.asarray(t, dtype=float)
         u = self.speed
@@ -120,6 +119,26 @@ class TrajectoryHalfCircle:
         tang = self.angle_rate_sign * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
         vel = spd[..., None] * tang
         return pos, vel
+
+    def acceleration(self, t, pos, vel):
+        """Acceleration (N,3) at times t, from the position and velocity
+        point_velocity_extended gives there: the sin^2 ramp's tangential
+        part u pi/(2 eta T) sin(pi t / (eta T)) inside [0, eta T), plus the
+        centripetal part -|v|^2 (x, y, 0) / R^2.  An impulsive start
+        (eta = 0) has a delta-function acceleration at t = 0, which is not
+        represented."""
+        t = np.asarray(t, dtype=float)
+        R = self.radius
+        acc = -(np.einsum("ij,ij->i", vel, vel) / R**2)[:, None] * pos
+        t_ramp = self.ramp_fraction * self.traverse_time
+        if t_ramp > 0.0:
+            in_ramp = (t >= 0.0) & (t < t_ramp)
+            dspd = np.where(in_ramp, self.speed * np.pi / (2 * t_ramp)
+                            * np.sin(np.pi * t / t_ramp), 0.0)
+            tang = (self.angle_rate_sign / R) * np.stack(
+                [-pos[:, 1], pos[:, 0], np.zeros(len(t))], axis=-1)
+            acc += dspd[:, None] * tang
+        return acc
 
     def angle(self, t):
         arc, _ = self._arc_speed(t)
@@ -219,30 +238,3 @@ def mirror_map(x):
 # vectors transform the same way under a rotation
 mirror_vector = mirror_map
 
-
-def current_density(traj: TrajectoryHalfCircle, smear: SmearingProfile, x, t: float):
-    """Current density of the (possibly smeared) electron charge at (x, t).
-
-    For POINT the transverse delta support is implicit: the returned value is
-    zero off the instantaneous electron position and e*u(t) on it (the delta
-    normalisation is carried by the caller's quadrature).  For LINE_Z the
-    delta factors transverse to the line are implicit in the same way and the
-    returned value on the support is the line density e*u(t)/sigma.
-    """
-    T = traj.traverse_time
-    if t < 0.0 or t > T * (1 + 1e-12):
-        raise ValueError(f"t must lie in [0, T = {T:g}]")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pos, vel = traj.point_velocity_extended(np.asarray(t))
-    ev = traj.charge * vel.reshape(3)
-    d = x - pos.reshape(3)
-    out = np.zeros_like(x)
-    tol = 1e-12 * max(traj.radius, 1.0)
-    if smear.kind is SmearKind.POINT:
-        on = (np.abs(d) < tol).all(axis=-1)
-        out[on] = ev
-    else:
-        transverse = (np.abs(d[:, 0]) < tol) & (np.abs(d[:, 1]) < tol)
-        along = np.abs(d[:, 2]) <= smear.sigma / 2 + tol
-        out[transverse & along] = ev / smear.sigma
-    return out if out.shape[0] > 1 else out[0]

@@ -202,14 +202,14 @@ class Phi1Result:
 def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidModel,
          rho_max: float | None = None, z_margin: float | None = None,
          n_phi: int = 16, spec: QuadratureSpec | None = None,
-         fd_step: float | None = None, tail_tol: float | None = None) -> Phi1Result:
+         tail_tol: float | None = None) -> Phi1Result:
     """(1/2) Int d3x  Adot_el(x, T) . A_sol(x) over a truncated cylinder.
 
     The domain is rho <= rho_max (default 8 R), |z| <= L/2 + z_margin
     (default 4 R); the tail estimate is the outer-half-shell contribution
-    |I(rho_max) - I(rho_max / 2)|.  A ramped start (ramp_fraction > 0) keeps
-    the start-up wavefront finite; the self term Adot_el . A_el is not
-    computed (identical for the two traverses).
+    |I(rho_max) - I(rho_max / 2)|.  The start must be ramped
+    (ramp_fraction > 0; see a_dot_electron); the self term Adot_el . A_el is
+    not computed (identical for the two traverses).
     """
     if model.kind is not SolenoidKind.FINITE_LOOPS:
         raise ValueError("phi1 requires the FINITE_LOOPS solenoid")
@@ -223,7 +223,7 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     asol_table = solenoid_table(model, rho_max * 1.01, z_max * 1.01)
 
     def f_cart(pts):
-        adot = a_dot_electron(traj, smear, pts, T, step=fd_step, fast=True)
+        adot = a_dot_electron(traj, smear, pts, T)
         asol = asol_table(pts)
         return np.einsum("ij,ij->i", adot, asol)
 

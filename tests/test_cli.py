@@ -65,6 +65,15 @@ def test_invalid_beta_exit_2(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.01", "0.5"])
+def test_invalid_eta_exit_2_without_report(tmp_path, capsys, eta):
+    cfg = write(tmp_path, f"eta = {eta}\n")
+    out = tmp_path / "out"
+    assert run("phases", cfg, str(out)) == 2
+    assert "eta" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_subcommand_exit_2(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\n")
     assert run("bogus", cfg, str(tmp_path)) == 2

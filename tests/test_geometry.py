@@ -3,13 +3,10 @@ import pytest
 
 from abtroika.geometry import (
     Sense,
-    SmearKind,
-    SmearingProfile,
     SolenoidKind,
     SolenoidModel,
     TrajectoryHalfCircle,
     UnitsAndCouplings,
-    current_density,
     mirror_map,
     mirror_vector,
     position_velocity,
@@ -98,47 +95,6 @@ def test_mirror_maps_right_onto_left():
         pl, vl = position_velocity(left, frac * T)
         np.testing.assert_allclose(mirror_map(pr), pl, atol=1e-12)
         np.testing.assert_allclose(mirror_vector(vr), vl, atol=1e-12)
-
-
-def test_current_density_point_support():
-    traj = make_traj()
-    smear = SmearingProfile(SmearKind.POINT)
-    t = 0.3 * traj.traverse_time
-    pos, vel = position_velocity(traj, t)
-    off = pos.ravel() + np.array([0.1, 0.0, 0.0])
-    np.testing.assert_array_equal(current_density(traj, smear, off, t), np.zeros(3))
-    on = current_density(traj, smear, pos.ravel(), t)
-    np.testing.assert_allclose(on, vel.ravel())
-
-
-def test_current_density_line_normalization():
-    traj = make_traj()
-    smear = SmearingProfile(SmearKind.LINE_Z, sigma=0.5)
-    t = 0.6 * traj.traverse_time
-    pos, vel = position_velocity(traj, t)
-    z = np.linspace(-0.4, 0.4, 4001)
-    pts = pos.ravel()[None, :] + np.stack(
-        [np.zeros_like(z), np.zeros_like(z), z], axis=-1)
-    dens = current_density(traj, smear, pts, t)
-    total = np.trapezoid(dens, z, axis=0)
-    np.testing.assert_allclose(total, vel.ravel(), rtol=1e-3)
-    # the Gauss weights actually used by the field evaluator are exactly unit
-    _, wts = smear.offsets_weights(16)
-    np.testing.assert_allclose(wts.sum(), 1.0, rtol=1e-14)
-
-
-def test_current_density_mirror_antisymmetry():
-    right = make_traj(Sense.RIGHT, beta=0.2)
-    left = make_traj(Sense.LEFT, beta=0.2)
-    smear = SmearingProfile(SmearKind.LINE_Z, sigma=0.3)
-    rng = np.random.default_rng(7)
-    for t in (0.1, 1.0, 4.0):
-        pos, _ = position_velocity(right, t)
-        pts = pos.reshape(1, 3) + np.concatenate(
-            [np.zeros((5, 2)), rng.uniform(-0.14, 0.14, (5, 1))], axis=1)
-        jr = current_density(right, smear, pts, t)
-        jl = current_density(left, smear, mirror_map(pts), t)
-        np.testing.assert_allclose(jl, mirror_vector(jr), atol=1e-12)
 
 
 def test_solenoid_loop_current_reproduces_flux():
