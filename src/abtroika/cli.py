@@ -28,6 +28,7 @@ from .modes import (
     electron_drive,
     evolve_mode,
     export_mode_state,
+    free_rotation,
     overlap_gaussian_check,
     photon_number,
     random_smooth_state,
@@ -138,7 +139,9 @@ def stage_decoherence(cfg: RunConfig, out_dir: str, jobs: int = 1):
 def stage_modes(cfg: RunConfig, out_dir: str = "."):
     sigma = cfg.lam * cfg.radius
     k_max = cfg.kmax_sigma / sigma
-    grid = ModeGrid.cartesian(cfg.mode_grid_n, k_max)
+    # the traverse lies in the plane z = 0: its mode amplitudes are even in
+    # k_z, so the k_z > 0 half with doubled weights carries every sum
+    grid = ModeGrid.cartesian(cfg.mode_grid_n, k_max).fold_kz()
     traj = cfg.trajectory()
     smear = cfg.smearing()
     residuals = {}
@@ -147,7 +150,7 @@ def stage_modes(cfg: RunConfig, out_dir: str = "."):
 
     # constant drive against the closed form
     om = grid.omega
-    J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 3))
+    J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 2))
     t_end = 4.0 / om.min()
     steps = int(np.ceil(om.max() * t_end / 0.02))
     st = evolve_mode(
@@ -168,7 +171,8 @@ def stage_modes(cfg: RunConfig, out_dir: str = "."):
 
     residuals["b_relation"] = b_relation_residual(traj, smear, grid, 0.7 * T)
 
-    st_free = analytic_mode(traj, smear, grid, T * (1 + 1e-9), drive=drive)
+    # free evolution from just past T, where the drive has switched off
+    st_free = free_rotation(st_a, 1e-9 * T)
     n0 = photon_number(st_free)
     st_late = evolve_mode(st_free, 0.01 / om.max(), 10_000)
     residuals["photon_number_drift"] = abs(photon_number(st_late) - n0) / max(n0, 1e-300)

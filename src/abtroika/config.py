@@ -3,7 +3,7 @@ domain-type invariants before any computation starts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .geometry import (
     Sense,
@@ -73,6 +73,9 @@ class RunConfig:
             raise ConfigError(f"eta must satisfy 0 < eta < 0.5, got {self.eta}")
         if self.mode_grid_n < 2 or self.crosscheck_grid_n < 2:
             raise ConfigError("mode grid sizes must be >= 2")
+        if self.mode_grid_n % 2:
+            raise ConfigError(f"mode_grid_n must be even (an odd n puts k = 0 "
+                              f"on the cartesian grid), got {self.mode_grid_n}")
         if self.kmax_sigma < 4.0:
             raise ConfigError("kmax_sigma < 4 leaves the smearing scale unresolved")
         if self.quad_abs_tol <= 0 or self.quad_rel_tol <= 0:

@@ -399,8 +399,9 @@ def a_modes_crosscheck(beta: float, lam: float,
     radial quadrature).  Route two: (1/2) * photon_number of the difference
     state alpha_R - alpha_L on a spherical mode grid of ~grid_n^3 points
     (the grids must resolve the 1/sigma, 1/R and 1/T scales; the radial
-    direction carries most of the points).  Returns a dict with both values
-    and their relative difference.
+    direction carries most of the points), of which the k_z > 0 half is
+    computed: the difference state is even in k_z.  Returns a dict with both
+    values and their relative difference.
     """
     if kmax_sigma < 4.0:
         raise ValueError(
@@ -417,7 +418,7 @@ def a_modes_crosscheck(beta: float, lam: float,
         n_r = max(16, grid_n**3 // (n_ang * n_ang))
         r_segments = max(4, int(np.ceil(k_max * (np.pi / beta) / 20.0)))
         grid = ModeGrid.spherical(k_max, n_r=n_r, n_mu=n_ang, n_phi=n_ang,
-                                  r_segments=min(r_segments, n_r // 2))
+                                  r_segments=min(r_segments, n_r // 2)).fold_kz()
     drive = traverse_difference_drive(traj, smear, grid)
     T = traj.traverse_time
     state = analytic_mode(traj, smear, grid, T, drive=drive)

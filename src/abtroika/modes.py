@@ -6,10 +6,14 @@ Jt^i(k, t) = (2 pi)^{-3/2} Int d3x J^i(x, t) e^{-i k.x}, plus a global phase
 c(t) with  i dc/dt = - Int dk Jt* . alpha / sqrt(2 omega).  Everything here
 operates on a discrete ModeGrid carrying quadrature weights for Int d3k.
 
-A drive is a callable ts -> Jt of shape (len(ts), n_modes, 3): it takes a
+A drive is a callable ts -> Jt of shape (len(ts), n_modes, p): it takes a
 1-D array of times, so the integrator and the quadratures evaluate the
 current once per chunk of RK4 steps or per quadrature segment rather than
-once per stage or node.
+once per stage or node.  p is the number of polarization components a state
+carries (alpha has shape (n_modes, p)).  The traverse lies in the plane
+z = 0, so its current has no z component and the electron drive carries
+p = 2, the in-plane components; a field configuration with a z part carries
+p = 3.
 
 The vacuum kernel is stationary at B(k) = omega / 2 (Riccati fixed point);
 only that choice (zero squeezing) is supported.
@@ -30,6 +34,7 @@ __all__ = [
     "electron_drive",
     "traverse_difference_drive",
     "evolve_mode",
+    "free_rotation",
     "analytic_mode",
     "classical_field_modes",
     "photon_number",
@@ -41,7 +46,6 @@ __all__ = [
     "random_smooth_state",
 ]
 
-POLARIZATION_COUNT = 3
 # complex values per batched work array (RK4 stage states, inner-node drive
 # values).  At 216 modes, 2**14 runs the modes stage as fast as 2**15 and
 # raises its peak memory by 0.8 MB instead of 2 MB.
@@ -62,11 +66,13 @@ def _fft_keep_mask(n: int) -> np.ndarray:
 class ModeGrid:
     """Discrete set of k-points with weights approximating Int d3k.
 
-    Grids are symmetric under k -> -k (neg_index maps each point to its
-    partner) and exclude k = 0.  kind is one of "cartesian" (midpoint cube),
+    Grids exclude k = 0.  kind is one of "cartesian" (midpoint cube),
     "spherical" (Gauss radial x Gauss polar x uniform azimuth; resolves fine
     radial oscillations cheaply) and "fft" (discrete-transform pair with a
-    real-space cube, for functional-overlap checks).
+    real-space cube, for functional-overlap checks); these are symmetric
+    under k -> -k, and neg_index maps each point to its partner.  fold_kz
+    keeps the k_z > 0 half of a grid with doubled weights; a folded grid is
+    not negation-symmetric, so neg_index raises on it.
     """
 
     k_points: np.ndarray
@@ -96,20 +102,49 @@ class ModeGrid:
 
     @cached_property
     def _neg_index(self) -> np.ndarray:
-        key = np.round(self.k_points / (np.abs(self.k_points).max() * 1e-12)).astype(np.int64)
-        lookup = {tuple(row): i for i, row in enumerate(key)}
         try:
-            idx = np.array([lookup[tuple(-row)] for row in key])
+            idx = self._mirror_index((-1, -1, -1))
         except KeyError as exc:
             raise ValueError("grid is not symmetric under k -> -k") from exc
         idx.flags.writeable = False
         return idx
 
+    def _key(self) -> np.ndarray:
+        """Integer k-points, rounded at 1e-12 of the largest component."""
+        return np.round(self.k_points / (np.abs(self.k_points).max() * 1e-12)).astype(np.int64)
+
+    def _mirror_index(self, flip) -> np.ndarray:
+        """Index of the partner k * flip of every mode; KeyError if one is
+        missing."""
+        key = self._key()
+        lookup = {tuple(row): i for i, row in enumerate(key)}
+        return np.array([lookup[tuple(row * flip)] for row in key])
+
+    def fold_kz(self) -> "ModeGrid":
+        """The k_z > 0 half of a grid mirror-symmetric in k_z, weights doubled.
+
+        For mode amplitudes even in k_z (a current in the plane z = 0), a
+        weighted sum over the folded grid equals the sum over the full grid.
+        Raises on a grid with a k_z = 0 plane or without the mirror symmetry.
+        """
+        if np.any(self._key()[:, 2] == 0):
+            raise ValueError("a grid with a k_z = 0 plane cannot be folded")
+        try:
+            mirror = self._mirror_index((1, 1, -1))
+        except KeyError as exc:
+            raise ValueError("grid is not symmetric under k_z -> -k_z") from exc
+        if not np.allclose(self.weights[mirror], self.weights, rtol=1e-12, atol=0):
+            raise ValueError("mode weights are not symmetric under k_z -> -k_z")
+        up = self.k_points[:, 2] > 0
+        return ModeGrid(self.k_points[up], 2.0 * self.weights[up], kind=self.kind)
+
     @classmethod
     def cartesian(cls, n: int, k_max: float) -> "ModeGrid":
-        """Midpoint cube grid: n^3 points, no k = 0, negation-symmetric."""
+        """Midpoint cube grid: n^3 points, no k = 0 (n even), exactly
+        negation-symmetric."""
         dk = 2.0 * k_max / n
-        ax = -k_max + (np.arange(n) + 0.5) * dk
+        # exact half-integer multiples of dk, so k and -k match bit for bit
+        ax = (np.arange(n) - (n - 1) / 2) * dk
         kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
         pts = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=-1)
         return cls(pts, np.full(len(pts), dk**3), kind="cartesian")
@@ -168,19 +203,27 @@ class ModeState:
     """Coherent amplitudes alpha^i(k, t) plus the global phase c(t)."""
 
     grid: ModeGrid
-    alpha: np.ndarray            # (n_modes, 3) complex
+    alpha: np.ndarray            # (n_modes, p) complex
     c_phase: complex
     time: float
-    drive: object = None         # callable ts -> (len(ts), n_modes, 3) complex, or None
+    drive: object = None         # callable ts -> (len(ts), n_modes, p) complex, or None
 
     def __post_init__(self):
-        if self.alpha.shape != (self.grid.n_modes, POLARIZATION_COUNT):
-            raise ValueError("alpha must have shape (n_modes, 3)")
+        if self.alpha.ndim != 2 or self.alpha.shape[0] != self.grid.n_modes:
+            raise ValueError("alpha must have shape (n_modes, polarizations)")
 
     @classmethod
     def vacuum(cls, grid: ModeGrid, drive=None) -> "ModeState":
-        return cls(grid, np.zeros((grid.n_modes, POLARIZATION_COUNT), complex),
-                   0.0 + 0.0j, 0.0, drive)
+        """Zero amplitudes with the drive's polarization count (3 without a
+        drive)."""
+        p = 3 if drive is None else _polarizations(drive)
+        return cls(grid, np.zeros((grid.n_modes, p), complex), 0.0 + 0.0j, 0.0,
+                   drive)
+
+
+def _polarizations(drive) -> int:
+    """Polarization count of a drive, from a call with no times."""
+    return drive(np.empty(0)).shape[2]
 
 
 def _smear_factor(smear: SmearingProfile, kz: np.ndarray) -> np.ndarray:
@@ -194,12 +237,13 @@ def _smear_factor(smear: SmearingProfile, kz: np.ndarray) -> np.ndarray:
 
 def electron_drive(traj: TrajectoryHalfCircle, smear: SmearingProfile,
                    grid: ModeGrid):
-    """Fourier transform of the traverse current: callable ts -> (len(ts), n, 3).
+    """Fourier transform of the traverse current: callable ts -> (len(ts), n, 2).
 
     Jt(k, t) = (2 pi)^{-3/2} e u(t) exp(-i k . x(t)) S(k_z); zero outside
     [0, T] (the traverse drive switches off when the packets recombine).
-    The trajectory and the exponential are evaluated only at the times
-    inside the support.
+    The orbit lies in the plane z = 0, so only the in-plane (x, y)
+    components are returned, and Jt is even in k_z.  The trajectory and the
+    exponential are evaluated only at the times inside the support.
     """
     pS = (2 * np.pi) ** (-1.5) * traj.charge * _smear_factor(smear, grid.k_points[:, 2])
     kT = grid.k_points.T.copy()
@@ -210,12 +254,12 @@ def electron_drive(traj: TrajectoryHalfCircle, smear: SmearingProfile,
 
     def drive(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        shape = (len(ts), grid.n_modes, POLARIZATION_COUNT)
+        shape = (len(ts), grid.n_modes, 2)
         on = (ts >= 0.0) & (ts <= t_end)
         if not on.any():
             return np.zeros(shape, complex)
         pos, vel = traj.point_velocity_extended(np.minimum(ts[on], T))
-        J = (pS * np.exp(-1j * (pos @ kT)))[..., None] * vel[:, None, :]
+        J = (pS * np.exp(-1j * (pos @ kT)))[..., None] * vel[:, None, :2]
         if on.all():
             return J
         out = np.zeros(shape, complex)
@@ -239,10 +283,10 @@ _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 _RK4_HALF_STEPS = np.array([0, 1, 1, 2])
 
 
-def _rk4_chunk(n_modes: int) -> int:
+def _rk4_chunk(n_modes: int, p: int) -> int:
     """RK4 steps per drive call: the chunk's stage states, (steps, 4, n_modes,
-    3) complex values, fit in _CHUNK_ELEMS."""
-    return max(1, _CHUNK_ELEMS // (4 * POLARIZATION_COUNT * n_modes))
+    p) complex values, fit in _CHUNK_ELEMS."""
+    return max(1, _CHUNK_ELEMS // (4 * p * n_modes))
 
 
 def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
@@ -258,14 +302,14 @@ def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
         raise ValueError(
             f"dt * omega = {dt * om[worst]:.3f} > 0.5 for mode {worst} "
             f"(|k| = {om[worst]:.4g}); reduce dt")
-    n = state.grid.n_modes
+    n, p = state.alpha.shape
     drive = state.drive if state.drive is not None else (
-        lambda ts: np.zeros((len(ts), n, POLARIZATION_COUNT), complex))
+        lambda ts: np.zeros((len(ts), n, p), complex))
     sq = np.sqrt(2.0 * om)
     om_, sq_ = om[:, None], sq[:, None]
     w_sq = (state.grid.weights / sq)[:, None]
-    chunk = _rk4_chunk(n)
-    stages = np.empty((chunk, 4, n, POLARIZATION_COUNT), complex)
+    chunk = _rk4_chunk(n, p)
+    stages = np.empty((chunk, 4, n, p), complex)
 
     alpha = state.alpha.copy()
     c = complex(state.c_phase)
@@ -294,6 +338,13 @@ def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
     return replace(state, alpha=alpha, c_phase=c, time=t0 + steps * dt)
 
 
+def free_rotation(state: ModeState, dt: float) -> ModeState:
+    """The state dt later with the drive off: alpha e^{-i omega dt}, the
+    exact free solution; c does not move."""
+    rot = np.exp(-1j * state.grid.omega * dt)[:, None]
+    return replace(state, alpha=state.alpha * rot, time=state.time + dt)
+
+
 def _time_segments(t_final: float, omega_max: float, max_phase: float = 1.5,
                    min_segments: int = 16):
     nseg = max(min_segments, int(np.ceil(omega_max * t_final / max_phase)))
@@ -318,13 +369,13 @@ def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
         drive = electron_drive(traj, smear, grid)
     om = grid.omega
     sq = np.sqrt(2.0 * om)
-    n = grid.n_modes
+    n, p = grid.n_modes, _polarizations(drive)
     w_sq = (grid.weights / sq)[:, None]
     edges = _time_segments(t, float(om.max()))
     xg, wg = _GL8
     # outer nodes whose inner nodes share one drive call
-    group = max(1, _CHUNK_ELEMS // (len(xg) * POLARIZATION_COUNT * n))
-    S = np.zeros((n, POLARIZATION_COUNT), complex)  # Int e^{i om t'} Jt dt'
+    group = max(1, _CHUNK_ELEMS // (len(xg) * p * n))
+    S = np.zeros((n, p), complex)  # Int e^{i om t'} Jt dt'
     c_im = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
@@ -335,10 +386,10 @@ def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
         # inner 8-point Gauss on [lo, ts]
         ihalf = 0.5 * (tsub - lo)
         tin = 0.5 * (tsub + lo)[:, None] + ihalf[:, None] * xg
-        part = np.empty((len(xg), n, POLARIZATION_COUNT), complex)
+        part = np.empty((len(xg), n, p), complex)
         for g0 in range(0, len(xg), group):
             tg = tin[g0:g0 + group]
-            Jin = drive(tg.ravel()).reshape(tg.shape + (n, POLARIZATION_COUNT))
+            Jin = drive(tg.ravel()).reshape(tg.shape + (n, p))
             kernel = ((ihalf[g0:g0 + group, None] * wg)[..., None]
                       * np.exp(1j * om * tg[..., None]))
             part[g0:g0 + group] = np.einsum("gjm,gjmp->gmp", kernel, Jin)
@@ -367,7 +418,7 @@ def classical_field_modes(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     om = grid.omega
     edges = _time_segments(t, float(om.max()))
     xg, wg = _GL8
-    Ssin = np.zeros((grid.n_modes, POLARIZATION_COUNT), complex)
+    Ssin = np.zeros((grid.n_modes, _polarizations(drive)), complex)
     Scos = np.zeros_like(Ssin)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
@@ -408,11 +459,13 @@ def overlap_coherent(state_l: ModeState, state_r: ModeState) -> complex:
 
 
 def _fields_from_state(state: ModeState):
-    """Real-space A and Adot on the fft cube (requires an fft-pair grid)."""
+    """Real-space A and Adot on the fft cube (requires an fft-pair grid), one
+    component per polarization of the state."""
     grid = state.grid
     if grid.kind != "fft":
         raise ValueError("field reconstruction needs an fft-pair ModeGrid")
     n = grid.fft_shape[0]
+    p = state.alpha.shape[1]
     L = grid.box_length
     neg = grid.neg_index()
     om = grid.omega
@@ -420,18 +473,18 @@ def _fields_from_state(state: ModeState):
     Vt = -1j * np.sqrt(om / 2)[:, None] * (state.alpha - np.conj(state.alpha[neg]))
     keep = _fft_keep_mask(n)
     dk = 2 * np.pi / L
-    A = np.zeros((n**3, 3))
-    V = np.zeros((n**3, 3))
+    A = np.zeros((n**3, p))
+    V = np.zeros((n**3, p))
     # inverse transform: A(x) = (2 pi)^{-3/2} Sum_k w At(k) e^{i k.x}
-    full_At = np.zeros((n**3, 3), complex)
-    full_Vt = np.zeros((n**3, 3), complex)
+    full_At = np.zeros((n**3, p), complex)
+    full_Vt = np.zeros((n**3, p), complex)
     full_At[keep] = At
     full_Vt[keep] = Vt
     fac = dk**3 * n**3 / (2 * np.pi) ** 1.5
-    for i in range(3):
+    for i in range(p):
         A[:, i] = np.fft.ifftn(full_At[:, i].reshape(n, n, n)).real.ravel() * fac
         V[:, i] = np.fft.ifftn(full_Vt[:, i].reshape(n, n, n)).real.ravel() * fac
-    return A.reshape(n, n, n, 3), V.reshape(n, n, n, 3)
+    return A.reshape(n, n, n, p), V.reshape(n, n, n, p)
 
 
 def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray,
@@ -510,7 +563,7 @@ def overlap_gaussian_check(state_l: ModeState, state_r: ModeState,
     fac = dx3 / (2 * np.pi) ** 1.5
     qa = 0.0
     qv = 0.0
-    for i in range(3):
+    for i in range(dA.shape[-1]):
         dAt = np.fft.fftn(dA[..., i]).ravel()[keep] * fac
         dVt = np.fft.fftn(dV[..., i]).ravel()[keep] * fac
         qa += np.sum(grid.weights * (om / 2) * np.abs(dAt) ** 2)
@@ -554,14 +607,15 @@ def b_relation_residual(traj, smear, grid: ModeGrid, t: float) -> float:
 def export_mode_state(state: ModeState, path, fmt: str = "text") -> None:
     """Snapshot of the mode amplitudes.
 
-    text: whitespace table, one row per (mode, polarization):
+    text: whitespace table, one row per (mode, polarization), polarization
+          blocks in order:
           kx ky kz pol Re(alpha) Im(alpha) weight
     binary: the same seven float64 columns, little-endian ('<f8'), row-major,
             no header.
     """
     g = state.grid
     rows = []
-    for i in range(POLARIZATION_COUNT):
+    for i in range(state.alpha.shape[1]):
         block = np.column_stack([
             g.k_points,
             np.full(g.n_modes, float(i)),

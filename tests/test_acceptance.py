@@ -129,7 +129,7 @@ def test_criterion_06_mode_solution():
     t0 = time.time()
     grid = ModeGrid.cartesian(16, 6.0)
     om = grid.omega
-    J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 3))
+    J0 = (0.2 + 0.05j) * np.ones((grid.n_modes, 2))
     t_end = 4.0 / om.min()
     steps = int(np.ceil(om.max() * t_end / 0.02))
     st = evolve_mode(
@@ -253,7 +253,6 @@ def test_criterion_12_scaling_law():
              f"{a2err / a2v:.2e} (<1%), {elapsed:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_13_cross_formulation():
     t0 = time.time()
     r24 = a_modes_crosscheck(0.1, 1.0, 1.0, grid_n=24)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -172,7 +171,23 @@ def test_modes_stage_small(tmp_path):
     assert mc["overlap_identity_random"] < 1e-8
     assert rep["checks"]["photon_number_drift"]["pass"] is True
     snapshot = np.loadtxt(out / "mode_state.txt")
-    assert snapshot.shape[1] == 7  # kx ky kz pol re im weight
+    # kx ky kz pol re im weight: the k_z > 0 half of the 4^3 grid, two
+    # in-plane polarizations, doubled weights
+    assert snapshot.shape == (2 * 32, 7)
+    assert np.all(snapshot[:, 2] > 0)
+    assert set(snapshot[:, 3]) == {0.0, 1.0}
+    dk = 2 * 6.0 / 4
+    np.testing.assert_allclose(snapshot[:, 6], 2 * dk**3, rtol=1e-15)
+
+
+def test_odd_mode_grid_exit_2(tmp_path, capsys):
+    # an odd n puts k = 0 on the cartesian grid: bad input, not a numerical
+    # failure
+    cfg = write(tmp_path, "mode_grid_n = 5\n")
+    out = tmp_path / "out"
+    assert run("modes", cfg, str(out)) == 2
+    assert "mode_grid_n must be even" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_phases_stage_small(tmp_path):

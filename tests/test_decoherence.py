@@ -243,6 +243,17 @@ def test_modes_crosscheck_small_grid():
     assert r["a_current_current"] > 0 and r["a_modes"] > 0
 
 
+def test_modes_crosscheck_folded_grid_matches_full():
+    # the default grid is the k_z > 0 half of a spherical grid: the same
+    # photon number as the full grid, bit for bit
+    from abtroika.modes import ModeGrid
+    full = ModeGrid.spherical(6.0, n_r=16, n_mu=6, n_phi=6, r_segments=4)
+    r_full = a_modes_crosscheck(0.3, 1.0, 1.0, grid=full)
+    r_half = a_modes_crosscheck(0.3, 1.0, 1.0, grid=full.fold_kz())
+    assert r_half["a_modes"] == r_full["a_modes"]
+    assert r_half["n_modes"] == r_full["n_modes"] // 2
+
+
 def test_modes_crosscheck_identical_traverses_zero():
     # difference drive of two identical traverses vanishes identically
     from abtroika.modes import ModeGrid, analytic_mode, photon_number

@@ -18,12 +18,12 @@ from abtroika.modes import (
     electron_drive,
     evolve_mode,
     export_mode_state,
+    free_rotation,
     overlap_coherent,
     overlap_gaussian_check,
     photon_number,
     random_smooth_state,
     riccati_stationarity,
-    state_from_fields,
     traverse_difference_drive,
 )
 
@@ -189,7 +189,8 @@ def _drive_oracle(traj, smear, grid):
 
 
 def _evolve_oracle(state, dt, steps, drive):
-    """RK4 with four scalar-time drive calls per step; returns (alpha, c)."""
+    """RK4 with four scalar-time drive calls per step, on three polarization
+    components (the state's own ones padded with zeros); returns (alpha, c)."""
     om = state.grid.omega
     w = state.grid.weights
     sq = np.sqrt(2.0 * om)
@@ -200,7 +201,8 @@ def _evolve_oracle(state, dt, steps, drive):
         dc = 1j * np.sum(w[:, None] * np.conj(J) * alpha / sq[:, None])
         return dalpha, dc
 
-    alpha = state.alpha.copy()
+    alpha = np.zeros((state.grid.n_modes, 3), complex)
+    alpha[:, :state.alpha.shape[1]] = state.alpha
     c = complex(state.c_phase)
     t0 = state.time
     for i in range(steps):
@@ -263,6 +265,13 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def _in_plane(a):
+    """x, y columns of a three-component oracle result, whose z column must
+    be exactly zero (the orbit lies in the plane z = 0)."""
+    assert np.all(a[..., 2] == 0)
+    return a[..., :2]
+
+
 @pytest.mark.parametrize("smear", [POINT, LINE])
 def test_drive_batch_matches_per_time_oracle(smear):
     tr = small_traj(0.3)
@@ -273,13 +282,13 @@ def test_drive_batch_matches_per_time_oracle(smear):
     ts = np.array([-0.1, -1e-300, 0.0, 0.37 * T, 0.999 * T, T, T * (1 + 5e-14),
                    T * (1 + 1e-12), 2.0 * T])
     got = drive(ts)
-    assert got.shape == (len(ts), g.n_modes, 3)
-    np.testing.assert_allclose(got, np.stack([oracle(t) for t in ts]),
+    assert got.shape == (len(ts), g.n_modes, 2)
+    np.testing.assert_allclose(got, _in_plane(np.stack([oracle(t) for t in ts])),
                                rtol=1e-14, atol=0)
     # zero outside the support, the final sample at T by a few ulp past it
     assert np.all(got[[0, 1, 7, 8]] == 0)
     assert np.all(got[6] == got[5]) and np.any(got[6] != 0)
-    assert drive(np.empty(0)).shape == (0, g.n_modes, 3)
+    assert drive(np.empty(0)).shape == (0, g.n_modes, 2)
     diff = traverse_difference_drive(tr, smear, g)(ts)
     mirror = electron_drive(tr.mirrored(), smear, g)(ts)
     np.testing.assert_array_equal(diff, got - mirror)
@@ -290,7 +299,7 @@ def test_drive_calls_per_chunk_and_none_after_support(monkeypatch):
     g = ModeGrid.cartesian(4, 2.0)
     T = tr.traverse_time
     dt = 0.05 / g.omega.max()
-    chunk = _rk4_chunk(g.n_modes)
+    chunk = _rk4_chunk(g.n_modes, 2)
     drive = electron_drive(tr, POINT, g)
     batches = []
 
@@ -299,7 +308,10 @@ def test_drive_calls_per_chunk_and_none_after_support(monkeypatch):
         return drive(ts)
 
     steps = 2 * chunk + 1
-    evolve_mode(ModeState.vacuum(g, counted), dt, steps)
+    vacuum = ModeState.vacuum(g, counted)
+    assert vacuum.alpha.shape == (g.n_modes, 2) and batches == [0]
+    batches.clear()
+    evolve_mode(vacuum, dt, steps)
     assert len(batches) == math.ceil(steps / chunk)
     assert batches == [2 * chunk + 1, 2 * chunk + 1, 3]
 
@@ -324,11 +336,12 @@ def test_free_evolution_bit_identical_to_per_step_oracle():
     T = tr.traverse_time
     st = analytic_mode(tr, POINT, g, T * (1 + 1e-9))
     dt = 0.01 / g.omega.max()
-    chunk = _rk4_chunk(g.n_modes)
+    chunk = _rk4_chunk(g.n_modes, 2)
     for steps in (1, chunk - 1, chunk, chunk + 1):
         for start in (st, replace(st, drive=None)):
             got = evolve_mode(start, dt, steps)
             alpha, c = _evolve_oracle(st, dt, steps, _drive_oracle(tr, POINT, g))
+            alpha = _in_plane(alpha)
             np.testing.assert_array_equal(got.alpha, alpha)
             assert got.c_phase == c
             assert photon_number(got) == photon_number(replace(got, alpha=alpha))
@@ -339,7 +352,7 @@ def test_traverse_evolution_matches_per_step_oracle():
     g = ModeGrid.cartesian(6, 3.0)
     T = tr.traverse_time
     dt = 0.1 / g.omega.max()
-    chunk = _rk4_chunk(g.n_modes)
+    chunk = _rk4_chunk(g.n_modes, 2)
     drive = electron_drive(tr, LINE, g)
     oracle = _drive_oracle(tr, LINE, g)
     cases = [(0.0, n) for n in (1, chunk - 1, chunk, chunk + 1)]
@@ -347,13 +360,13 @@ def test_traverse_evolution_matches_per_step_oracle():
     cases += [(0.3 * T, 2 * chunk + 1), (T - 5.5 * dt, chunk + 1),
               (T - 4.3 * dt, chunk + 1)]
     for t0, steps in cases:
-        start = ModeState(g, np.zeros((g.n_modes, 3), complex), 0j, t0, drive)
+        start = ModeState(g, np.zeros((g.n_modes, 2), complex), 0j, t0, drive)
         if t0:
             start = replace(start, alpha=analytic_mode(tr, LINE, g, t0).alpha,
                             c_phase=0.1 + 0.2j)
         got = evolve_mode(start, dt, steps)
         alpha, c = _evolve_oracle(start, dt, steps, oracle)
-        assert _rel(got.alpha, alpha) <= 1e-13, (t0, steps)
+        assert _rel(got.alpha, _in_plane(alpha)) <= 1e-13, (t0, steps)
         assert abs(got.c_phase - c) <= 1e-13 * abs(c), (t0, steps)
         assert got.time == t0 + steps * dt
 
@@ -369,12 +382,131 @@ def test_quadratures_match_nested_loop_oracles(n):
     for t in (0.6 * T, T):
         st = analytic_mode(tr, LINE, g, t)
         alpha, c = _analytic_oracle(g, t, oracle)
-        assert _rel(st.alpha, alpha) <= 1e-13
+        assert _rel(st.alpha, _in_plane(alpha)) <= 1e-13
         assert abs(st.c_phase - c) <= 1e-13 * abs(c)
         At, Vt = classical_field_modes(tr, LINE, g, t)
         At_o, Vt_o = _classical_oracle(g, t, oracle)
-        assert _rel(At, At_o) <= 1e-13
-        assert _rel(Vt, Vt_o) <= 1e-13
+        assert _rel(At, _in_plane(At_o)) <= 1e-13
+        assert _rel(Vt, _in_plane(Vt_o)) <= 1e-13
+
+
+# ------------------------------------------------------------ k_z symmetry
+# The orbit lies in the plane z = 0.  The drive with all three current
+# components is the oracle for the in-plane drive, and the full cartesian
+# grid the oracle for its k_z > 0 half.
+
+def _drive3_oracle(traj, smear, grid):
+    """The batched traverse drive with all three current components."""
+    pS = (2 * np.pi) ** (-1.5) * traj.charge * _smear_factor(smear, grid.k_points[:, 2])
+    kT = grid.k_points.T.copy()
+    T = traj.traverse_time
+
+    def drive(ts):
+        out = np.zeros((len(ts), grid.n_modes, 3), complex)
+        on = (ts >= 0.0) & (ts <= T * (1 + 1e-13))
+        if on.any():
+            pos, vel = traj.point_velocity_extended(np.minimum(ts[on], T))
+            out[on] = (pS * np.exp(-1j * (pos @ kT)))[..., None] * vel[:, None, :]
+        return out
+
+    return drive
+
+
+def _kz_mirror(n):
+    """Index of the k_z -> -k_z partner of every point of ModeGrid.cartesian(n, .)."""
+    return np.arange(n**3).reshape(n, n, n)[:, :, ::-1].ravel()
+
+
+@pytest.mark.parametrize("smear", [POINT, LINE])
+def test_drive_is_in_plane_part_of_three_component_drive(smear):
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0)
+    T = tr.traverse_time
+    ts = np.append(np.linspace(-0.1 * T, 1.1 * T, 41), T)
+    np.testing.assert_array_equal(electron_drive(tr, smear, g)(ts),
+                                  _in_plane(_drive3_oracle(tr, smear, g)(ts)))
+
+
+@pytest.mark.parametrize("smear", [POINT, LINE])
+def test_amplitudes_even_in_kz(smear):
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0)
+    mirror = _kz_mirror(6)
+    np.testing.assert_array_equal(g.k_points[mirror], g.k_points * [1, 1, -1])
+    T = tr.traverse_time
+    drive = electron_drive(tr, smear, g)
+    st_a = analytic_mode(tr, smear, g, T, drive=drive)
+    steps = int(np.ceil(g.omega.max() * T / 0.03))
+    st_e = evolve_mode(ModeState.vacuum(g, drive), T / steps, steps)
+    for alpha in (st_a.alpha, st_e.alpha):
+        np.testing.assert_array_equal(alpha[mirror], alpha)
+
+
+@pytest.mark.parametrize("smear", [POINT, LINE])
+def test_folded_grid_reproduces_full_grid(smear):
+    # the modes stage's photon number and max-residual checks read the same
+    # on the k_z > 0 half-grid as on the full grid, bit for bit
+    tr = small_traj(0.3)
+    full = ModeGrid.cartesian(6, 3.0)
+    half = full.fold_kz()
+    upper = full.k_points[:, 2] > 0
+    np.testing.assert_array_equal(half.k_points, full.k_points[upper])
+    np.testing.assert_array_equal(half.weights, 2 * full.weights[upper])
+    T = tr.traverse_time
+
+    def checks(g):
+        drive = electron_drive(tr, smear, g)
+        st_a = analytic_mode(tr, smear, g, T, drive=drive)
+        steps = int(np.ceil(g.omega.max() * T / 0.03))
+        st_e = evolve_mode(ModeState.vacuum(g, drive), T / steps, steps)
+        diff = analytic_mode(tr, smear, g, T,
+                             drive=traverse_difference_drive(tr, smear, g))
+        return st_a.alpha, (photon_number(st_a), photon_number(diff),
+                            float(np.max(np.abs(st_a.alpha - st_e.alpha))),
+                            b_relation_residual(tr, smear, g, 0.7 * T))
+
+    alpha_half, half_checks = checks(half)
+    alpha_full, full_checks = checks(full)
+    np.testing.assert_array_equal(alpha_half, alpha_full[upper])
+    assert half_checks == full_checks
+
+
+def test_fold_kz_rejects_grids_without_the_mirror():
+    g = ModeGrid.cartesian(4, 2.0)
+    with pytest.raises(ValueError, match="k_z -> -k_z"):
+        ModeGrid(g.k_points + [0.0, 0.0, 0.1], g.weights).fold_kz()
+    w = g.weights.copy()
+    w[0] *= 1.5
+    with pytest.raises(ValueError, match="weights"):
+        ModeGrid(g.k_points, w).fold_kz()
+    with pytest.raises(ValueError, match="k_z = 0"):
+        ModeGrid.fft_pair(8, 6.0).fold_kz()
+    # the half-grid has no k -> -k partners
+    with pytest.raises(ValueError, match="k -> -k"):
+        g.fold_kz().neg_index()
+
+
+def test_fold_kz_spherical_keeps_the_volume():
+    g = ModeGrid.spherical(6.0, n_r=16, n_mu=6, n_phi=8)
+    h = g.fold_kz()
+    assert h.n_modes == g.n_modes // 2 and np.all(h.k_points[:, 2] > 0)
+    np.testing.assert_allclose(h.weights.sum(), g.weights.sum(), rtol=1e-14)
+
+
+def test_free_rotation_is_free_evolution():
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0).fold_kz()
+    T = tr.traverse_time
+    st = analytic_mode(tr, LINE, g, T)
+    start = free_rotation(st, 1e-9 * T)
+    assert start.time == T + 1e-9 * T
+    assert start.c_phase == st.c_phase and start.drive is st.drive
+    n0 = photon_number(st)
+    assert abs(photon_number(start) - n0) <= 1e-15 * n0
+    # the RK4 integrator agrees with the exact rotation after the drive is off
+    dt = 0.01 / g.omega.max()
+    got = evolve_mode(start, dt, 200)
+    assert _rel(got.alpha, free_rotation(start, 200 * dt).alpha) <= 1e-8
 
 
 # ----------------------------------------------------------------- overlaps
@@ -491,3 +623,15 @@ def test_export_text_and_binary(tmp_path):
     export_mode_state(st, binf, fmt="binary")
     raw = np.fromfile(binf, dtype="<f8").reshape(3 * g.n_modes, 7)
     np.testing.assert_allclose(raw, table)
+
+
+def test_export_in_plane_state(tmp_path):
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(4, 2.0).fold_kz()
+    st = analytic_mode(tr, LINE, g, tr.traverse_time)
+    txt = tmp_path / "state.txt"
+    export_mode_state(st, txt, fmt="text")
+    table = np.loadtxt(txt)
+    assert table.shape == (2 * g.n_modes, 7)
+    np.testing.assert_array_equal(table[:, 3], np.repeat([0.0, 1.0], g.n_modes))
+    np.testing.assert_allclose(table[g.n_modes:, 4], st.alpha[:, 1].real)
