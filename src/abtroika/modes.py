@@ -9,11 +9,9 @@ operates on a discrete ModeGrid carrying quadrature weights for Int d3k.
 A drive is a callable ts -> Jt of shape (len(ts), n_modes, p): it takes a
 1-D array of times, so the integrator and the quadratures evaluate the
 current once per chunk of RK4 steps or per quadrature segment rather than
-once per stage or node.  p is the number of polarization components a state
-carries (alpha has shape (n_modes, p)).  The traverse lies in the plane
-z = 0, so its current has no z component and the electron drive carries
-p = 2, the in-plane components; a field configuration with a z part carries
-p = 3.
+once per stage or node.  p is a state's polarization count (alpha has shape
+(n_modes, p)): 2 for the traverse, whose orbit lies in the plane z = 0, and
+3 for fields with a z part.
 
 The vacuum kernel is stationary at B(k) = omega / 2 (Riccati fixed point);
 only that choice (zero squeezing) is supported.
@@ -110,23 +108,18 @@ class ModeGrid:
         return idx
 
     def _key(self) -> np.ndarray:
-        """Integer k-points, rounded at 1e-12 of the largest component."""
         return np.round(self.k_points / (np.abs(self.k_points).max() * 1e-12)).astype(np.int64)
 
     def _mirror_index(self, flip) -> np.ndarray:
-        """Index of the partner k * flip of every mode; KeyError if one is
-        missing."""
+        """Index of the partner k * flip of every mode (KeyError if missing)."""
         key = self._key()
         lookup = {tuple(row): i for i, row in enumerate(key)}
         return np.array([lookup[tuple(row * flip)] for row in key])
 
     def fold_kz(self) -> "ModeGrid":
-        """The k_z > 0 half of a grid mirror-symmetric in k_z, weights doubled.
-
-        For mode amplitudes even in k_z (a current in the plane z = 0), a
-        weighted sum over the folded grid equals the sum over the full grid.
-        Raises on a grid with a k_z = 0 plane or without the mirror symmetry.
-        """
+        """The k_z > 0 half of a k_z-mirror-symmetric grid, weights doubled:
+        it carries every sum of amplitudes even in k_z.  Raises on a k_z = 0
+        plane or a missing mirror point."""
         if np.any(self._key()[:, 2] == 0):
             raise ValueError("a grid with a k_z = 0 plane cannot be folded")
         try:
@@ -140,10 +133,9 @@ class ModeGrid:
 
     @classmethod
     def cartesian(cls, n: int, k_max: float) -> "ModeGrid":
-        """Midpoint cube grid: n^3 points, no k = 0 (n even), exactly
-        negation-symmetric."""
+        """Midpoint cube grid: n^3 points, no k = 0 (n even); k and -k match
+        bit for bit."""
         dk = 2.0 * k_max / n
-        # exact half-integer multiples of dk, so k and -k match bit for bit
         ax = (np.arange(n) - (n - 1) / 2) * dk
         kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
         pts = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=-1)
@@ -214,8 +206,7 @@ class ModeState:
 
     @classmethod
     def vacuum(cls, grid: ModeGrid, drive=None) -> "ModeState":
-        """Zero amplitudes with the drive's polarization count (3 without a
-        drive)."""
+        """Zero amplitudes, p from the drive (3 without one)."""
         p = 3 if drive is None else _polarizations(drive)
         return cls(grid, np.zeros((grid.n_modes, p), complex), 0.0 + 0.0j, 0.0,
                    drive)
@@ -241,8 +232,8 @@ def electron_drive(traj: TrajectoryHalfCircle, smear: SmearingProfile,
 
     Jt(k, t) = (2 pi)^{-3/2} e u(t) exp(-i k . x(t)) S(k_z); zero outside
     [0, T] (the traverse drive switches off when the packets recombine).
-    The orbit lies in the plane z = 0, so only the in-plane (x, y)
-    components are returned, and Jt is even in k_z.  The trajectory and the
+    Only the in-plane (x, y) components are returned: the orbit lies in the
+    plane z = 0, which also makes Jt even in k_z.  The trajectory and the
     exponential are evaluated only at the times inside the support.
     """
     pS = (2 * np.pi) ** (-1.5) * traj.charge * _smear_factor(smear, grid.k_points[:, 2])
@@ -459,8 +450,7 @@ def overlap_coherent(state_l: ModeState, state_r: ModeState) -> complex:
 
 
 def _fields_from_state(state: ModeState):
-    """Real-space A and Adot on the fft cube (requires an fft-pair grid), one
-    component per polarization of the state."""
+    """Real-space A and Adot on the fft cube (requires an fft-pair grid)."""
     grid = state.grid
     if grid.kind != "fft":
         raise ValueError("field reconstruction needs an fft-pair ModeGrid")
@@ -607,8 +597,7 @@ def b_relation_residual(traj, smear, grid: ModeGrid, t: float) -> float:
 def export_mode_state(state: ModeState, path, fmt: str = "text") -> None:
     """Snapshot of the mode amplitudes.
 
-    text: whitespace table, one row per (mode, polarization), polarization
-          blocks in order:
+    text: whitespace table, one row per (mode, polarization):
           kx ky kz pol Re(alpha) Im(alpha) weight
     binary: the same seven float64 columns, little-endian ('<f8'), row-major,
             no header.
