@@ -66,7 +66,6 @@ from .phases import (
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
-    adaptive_1d,
     adaptive_nd,
     loglog_slope,
     pv_integral_1d,
@@ -85,6 +84,6 @@ __all__ = [
     "photon_number", "riccati_stationarity", "PhaseReport",
     "assemble_phase_report", "extra_phase_ledger", "identity_eq15",
     "interference_probability", "naive_double_count", "phi1", "phi21", "phi22",
-    "phi_ab_loop", "QuadratureError", "QuadratureSpec", "adaptive_1d",
-    "adaptive_nd", "loglog_slope", "pv_integral_1d", "retarded_time_solve",
+    "phi_ab_loop", "QuadratureError", "QuadratureSpec", "adaptive_nd",
+    "loglog_slope", "pv_integral_1d", "retarded_time_solve",
 ]

@@ -39,7 +39,7 @@ from .geometry import (
     UnitsAndCouplings,
 )
 from .modes import ModeGrid, analytic_mode, photon_number, traverse_difference_drive
-from .phases import _cyl_integral
+from .phases import cylinder_integral
 from .quadrature import QuadratureError, QuadratureSpec, pv_integral_1d
 
 __all__ = [
@@ -123,8 +123,8 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
     alpha = pi q / (beta lam), with q = tau by default (the relative
     (2 beta/pi)^2 sin^2 correction is a factor beta^2 down) or the exact q
     when retain_sin_correction is set.  inner="closed" evaluates the z
-    integral with the unified two-branch logarithm; inner="numeric" uses the
-    symmetric-excision principal-value integrator (validation mode).
+    integral with the unified two-branch logarithm; inner="numeric" takes
+    the principal value by folding about the pole (validation mode).
     """
     if lam <= 0:
         raise ValueError("a1_smeared requires lam > 0 (point charge diverges)")
@@ -153,11 +153,11 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
             return (1 - t) * np.cos(np.pi * t) * _inner_line_pv(scale * q_of(t))
         value = _panels(edges, f)
     elif inner == "numeric":
-        # validation mode: excision-based principal values per tau node over
-        # the bulk of the range.  Where the pole sits essentially on a z
+        # validation mode: numeric principal values per tau node over the
+        # bulk of the range.  Where the pole sits essentially on a z
         # endpoint -- alpha < 0.05, or within 1e-3 of the branch point at
-        # alpha = 1 -- excision cancellation is hopeless and the closed form
-        # covers the (weight ~1e-3) slivers instead.
+        # alpha = 1 -- the closed form covers the (weight ~1e-3) slivers
+        # instead.
         xg, wg = np.polynomial.legendre.leggauss(8)
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
 
@@ -475,8 +475,8 @@ def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
         s, d = fields(pts)
         return 0.5 * np.linalg.norm(s, axis=-1) * np.linalg.norm(d, axis=-1)
 
-    value, _ = _cyl_integral(f_signed, (1e-9, rho_max), z_max, n_phi, spec)
-    scale, _ = _cyl_integral(f_abs, (1e-9, rho_max), z_max, n_phi, spec)
+    value, _ = cylinder_integral(f_signed, (1e-9, rho_max), z_max, n_phi, spec)
+    scale, _ = cylinder_integral(f_abs, (1e-9, rho_max), z_max, n_phi, spec)
     return value, scale
 
 

@@ -336,11 +336,22 @@ def free_rotation(state: ModeState, dt: float) -> ModeState:
     return replace(state, alpha=state.alpha * rot, time=state.time + dt)
 
 
-def _time_segments(t_final: float, omega_max: float, max_phase: float = 1.5,
-                   min_segments: int = 16):
-    nseg = max(min_segments, int(np.ceil(omega_max * t_final / max_phase)))
-    edges = np.linspace(0.0, t_final, nseg + 1)
-    return edges
+_SEGMENT_PHASE = 1.5  # largest omega_max * (segment length)
+_MIN_SEGMENTS = 16
+
+
+def _time_segments(t_final: float, omega_max: float, t_off: float):
+    """Gauss segment edges on [0, t_final], uniform up to the drive's
+    switch-off t_off and uniform again after it, so that no segment
+    straddles the jump of the drive to zero."""
+    def uniform(lo, hi, least):
+        n = max(least, int(np.ceil(omega_max * (hi - lo) / _SEGMENT_PHASE)))
+        return np.linspace(lo, hi, n + 1)
+
+    if t_final <= t_off:
+        return uniform(0.0, t_final, _MIN_SEGMENTS)
+    return np.concatenate([uniform(0.0, t_off, _MIN_SEGMENTS),
+                           uniform(t_off, t_final, 1)[1:]])
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
@@ -362,7 +373,7 @@ def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     sq = np.sqrt(2.0 * om)
     n, p = grid.n_modes, _polarizations(drive)
     w_sq = (grid.weights / sq)[:, None]
-    edges = _time_segments(t, float(om.max()))
+    edges = _time_segments(t, float(om.max()), traj.traverse_time)
     xg, wg = _GL8
     # outer nodes whose inner nodes share one drive call
     group = max(1, _CHUNK_ELEMS // (len(xg) * p * n))
@@ -407,7 +418,7 @@ def classical_field_modes(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     if drive is None:
         drive = electron_drive(traj, smear, grid)
     om = grid.omega
-    edges = _time_segments(t, float(om.max()))
+    edges = _time_segments(t, float(om.max()), traj.traverse_time)
     xg, wg = _GL8
     Ssin = np.zeros((grid.n_modes, _polarizations(drive)), complex)
     Scos = np.zeros_like(Ssin)

@@ -44,6 +44,7 @@ __all__ = [
     "interference_probability",
     "assemble_phase_report",
     "circle_path",
+    "cylinder_integral",
     "arc_path",
 ]
 
@@ -163,11 +164,11 @@ def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMod
     return 0.5 * model.loop_current * float(np.sum(acc))
 
 
-def _cyl_integral(f_cart, rho_range, z_max, n_phi, spec, z_even=True,
-                  cell: float = 1.0):
+def cylinder_integral(f_cart, rho_range, z_max, n_phi, spec):
     """Integral over a cylindrical shell rho in rho_range, |z| <= z_max of a
-    Cartesian-space integrand, phi by midpoint rule (periodic, spectral),
-    (rho, z) by adaptive cubature pre-split into ~cell-sized boxes."""
+    Cartesian-space integrand even in z: phi by midpoint rule (periodic,
+    spectral), (rho, 0 <= z <= z_max) by adaptive cubature pre-split into
+    boxes of about unit size, doubled for z < 0.  Returns (value, error)."""
     phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     cphi, sphi = np.cos(phis), np.sin(phis)
 
@@ -181,14 +182,11 @@ def _cyl_integral(f_cart, rho_range, z_max, n_phi, spec, z_even=True,
         vals = f_cart(pts).reshape(n, n_phi)
         return rho * vals.mean(axis=1) * (2 * np.pi)
 
-    z_lo = 0.0 if z_even else -z_max
-    grid = (max(2, int(np.ceil((rho_range[1] - rho_range[0]) / cell))),
-            max(2, int(np.ceil((z_max - z_lo) / cell))))
-    val, err = adaptive_nd(integrand, [rho_range, (z_lo, z_max)], spec,
+    grid = (max(2, int(np.ceil(rho_range[1] - rho_range[0]))),
+            max(2, int(np.ceil(z_max))))
+    val, err = adaptive_nd(integrand, [rho_range, (0.0, z_max)], spec,
                            initial_grid=grid)
-    if z_even:
-        val, err = 2 * val, 2 * err
-    return val, err
+    return 2 * val, 2 * err
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,8 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
         asol = asol_table(pts)
         return np.einsum("ij,ij->i", adot, asol)
 
-    inner, err_in = _cyl_integral(f_cart, (1e-9, rho_max / 2), z_max, n_phi, spec)
-    outer, err_out = _cyl_integral(f_cart, (rho_max / 2, rho_max), z_max, n_phi, spec)
+    inner, err_in = cylinder_integral(f_cart, (1e-9, rho_max / 2), z_max, n_phi, spec)
+    outer, err_out = cylinder_integral(f_cart, (rho_max / 2, rho_max), z_max, n_phi, spec)
     value = 0.5 * (inner + outer)
     tail = 0.5 * abs(outer)
     if tail_tol is not None and tail > tail_tol:

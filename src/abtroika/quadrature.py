@@ -1,8 +1,11 @@
-"""Numerical kernels: adaptive 1D/ND quadrature, principal values, retarded times.
+"""Numerical kernels: adaptive cubature, principal values, retarded times.
 
-All integrands are called vectorized: f(x) with x of shape (N,) in 1D or
-(N, d) in N-D must return shape (N,).  Subdivision order is deterministic for
-a fixed QuadratureSpec, so results are reproducible run to run.
+adaptive_nd (Genz-Malik) is the package's adaptive integrator; its
+integrands are called vectorized, f(x) with x of shape (N, d) returning
+shape (N,), and its subdivision order is deterministic for a fixed
+QuadratureSpec, so results are reproducible run to run.  pv_integral_1d
+folds a principal value into plain integrals for scipy's quad, which calls
+its integrand one scalar at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureSpec",
-    "adaptive_1d",
     "adaptive_nd",
     "pv_integral_1d",
     "retarded_time_solve",
@@ -37,128 +39,50 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 4000
-    # principal-value excision radii, as fractions of the pole-to-endpoint gap
-    pv_excision_sequence: tuple = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        eps = self.pv_excision_sequence
-        if len(eps) < 2 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or eps[-1] <= 0:
-            raise ValueError("pv_excision_sequence must be strictly decreasing and positive")
-
-
-# Gauss-Kronrod 7-15 nodes and weights (QUADPACK values)
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-])
-
-_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # 15 ascending
-_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-# Gauss-7 uses nodes 1,3,5,...,13 of the 15 (ascending order)
-_G_IDX = np.arange(1, 15, 2)
-_G_WEIGHTS = np.concatenate([_WG[:-1], _WG[::-1]])
-
-
-def _gk_panels(f, lo, hi):
-    """Gauss-Kronrod values/errors for a batch of intervals (lo, hi arrays)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    ik = half * (vals @ _GK_WEIGHTS)
-    ig = half * (vals[:, _G_IDX] @ _G_WEIGHTS)
-    return ik, np.abs(ik - ig)
-
-
-def adaptive_1d(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()):
-    """Adaptive Gauss-Kronrod integration of vectorized f over [a, b].
-
-    Returns (value, error_estimate); raises QuadratureError (with the best
-    estimate attached) if the subdivision budget is exhausted first.
-    """
-    if a == b:
-        return 0.0, 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    ik, err = _gk_panels(f, np.array([a]), np.array([b]))
-    heap = [(-err[0], 0, a, b, ik[0], err[0])]
-    count = 1
-    nsub = 0
-    while True:
-        total = sum(h[4] for h in heap)
-        total_err = sum(h[5] for h in heap)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return sign * total, total_err
-        if nsub >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"1d subdivision budget {spec.max_subdivisions} exhausted "
-                f"(err={total_err:.3e})", estimate=sign * total, error=total_err)
-        # split the worst few panels in one vectorized evaluation
-        nsplit = min(len(heap), 16)
-        worst = [heapq.heappop(heap) for _ in range(nsplit)]
-        los, his = [], []
-        for _, _, lo, hi, _, _ in worst:
-            m = 0.5 * (lo + hi)
-            los += [lo, m]
-            his += [m, hi]
-        ik, err = _gk_panels(f, np.array(los), np.array(his))
-        for i in range(len(los)):
-            heapq.heappush(heap, (-err[i], count, los[i], his[i], ik[i], err[i]))
-            count += 1
-        nsub += nsplit
 
 
 def pv_integral_1d(f, pole: float, bounds, spec: QuadratureSpec = QuadratureSpec()):
-    """Principal value of f over [a, b] with a simple pole at `pole`.
+    """Principal value of scalar f over [a, b] with a simple pole at `pole`.
 
-    Symmetric excision [pole - eps, pole + eps] shrunk over
-    spec.pv_excision_sequence, then polynomial (Neville) extrapolation to
-    eps -> 0.  If the pole lies outside the interval this is plain adaptive
-    quadrature.  A pole at (or numerically on) an endpoint is rejected.
+    Folded about the pole: with g = min(pole - a, b - pole),
+    P Int_a^b f = Int_0^g [f(pole + u) + f(pole - u)] du + Int f over the
+    part of [a, b] outside [pole - g, pole + g].  The 1/(z - pole) parts
+    cancel in the folded sum, so it is bounded, and Gauss-Kronrod nodes
+    never fall on u = 0.  A pole outside the interval leaves one plain
+    integral; a pole at (or numerically on) an endpoint is rejected.
+    Raises QuadratureError, with the estimate attached, when quad reports
+    that a piece did not converge.
     """
+    # imported here, not at module level: scipy.integrate adds about 25 MB
+    # of peak memory and 0.15 s to every start of the command line, and no
+    # stage calls this function
+    from scipy.integrate import quad
+
     a, b = float(bounds[0]), float(bounds[1])
     if b <= a:
         raise ValueError("bounds must satisfy a < b")
     gap = min(abs(pole - a), abs(b - pole))
     if gap <= 1e-13 * (b - a):
         raise ValueError("pole coincides with an integration endpoint")
-    if not a < pole < b:
-        val, err = adaptive_1d(f, a, b, spec)
-        return val
-    eps = np.array(spec.pv_excision_sequence, dtype=float) * gap
-    # outer region once, then collars between successive excision radii
-    outer_l, _ = adaptive_1d(f, a, pole - eps[0], spec)
-    outer_r, _ = adaptive_1d(f, pole + eps[0], b, spec)
-    values = [outer_l + outer_r]
-    for e1, e2 in zip(eps[:-1], eps[1:]):
-        cl, _ = adaptive_1d(f, pole - e1, pole - e2, spec)
-        cr, _ = adaptive_1d(f, pole + e2, pole + e1, spec)
-        values.append(values[-1] + cl + cr)
-    # Neville extrapolation of I(eps) to eps = 0
-    tab = list(values)
-    n = len(tab)
-    prev_last = tab[-1]
-    for m in range(1, n):
-        for i in range(n - m):
-            de = eps[i] - eps[i + m]
-            tab[i] = tab[i + 1] + eps[i + m] * (tab[i + 1] - tab[i]) / de
-        prev_last = tab[1] if n - m > 1 else prev_last
-    value = tab[0]
-    residual = abs(value - prev_last)
-    if not np.isfinite(value) or residual > 1e-4 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"principal-value extrapolation did not settle (residual={residual:.3e})",
-            estimate=value, error=residual)
+    if a < pole < b:
+        rest = (pole + gap, b) if pole - a < b - pole else (a, pole - gap)
+        pieces = [(lambda u: f(pole + u) + f(pole - u), 0.0, gap), (f, *rest)]
+    else:
+        pieces = [(f, a, b)]
+    outs = [quad(g, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                 limit=spec.max_subdivisions, full_output=1)
+            for g, lo, hi in pieces]
+    value = sum(out[0] for out in outs)
+    for (_, lo, hi), out in zip(pieces, outs):
+        # a fourth element is quad's message that the piece did not converge
+        if len(out) > 3:
+            raise QuadratureError(
+                f"principal value: quad on [{lo:.6g}, {hi:.6g}]: {out[3]}",
+                estimate=value, error=sum(o[1] for o in outs))
     return value
 
 

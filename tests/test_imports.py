@@ -1,7 +1,10 @@
-"""No module in src/ or tests/ imports a name it does not use."""
+"""No module in src/ or tests/ imports a name it does not use, and the
+command line does not load what only a library call needs."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +44,14 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds about 25 MB to the peak memory of every run; only
+    # pv_integral_1d uses it, and it imports it when called
+    code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import abtroika.cli\nprint('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

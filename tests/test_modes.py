@@ -168,6 +168,23 @@ def test_photon_number_free_evolution_invariant():
     assert abs(photon_number(st2) - n0) <= 1e-10 * max(n0, 1.0)
 
 
+def test_photon_number_continuous_across_switch_off():
+    # the drive is off after T, so the quadratures must give N(T) again just
+    # past it: no Gauss segment may straddle the switch-off
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 6.0)
+    T = tr.traverse_time
+    om = g.omega[:, None]
+
+    def numbers(t):
+        At, Vt = classical_field_modes(tr, POINT, g, t)
+        classical = np.sum(g.weights[:, None] * np.abs(om * At + 1j * Vt) ** 2 / (2 * om))
+        return photon_number(analytic_mode(tr, POINT, g, t)), classical
+
+    for at_T, after in zip(numbers(T), numbers(T * (1 + 1e-9))):
+        assert abs(after - at_T) <= 1e-13 * at_T
+
+
 # ------------------------------------------- batched drive against oracles
 # The per-time drive, the per-step RK4 and the nested-loop quadratures below
 # are the references for the time-batched forms in abtroika.modes.
@@ -216,7 +233,7 @@ def _evolve_oracle(state, dt, steps, drive):
     return alpha, c
 
 
-def _analytic_oracle(grid, t, drive):
+def _analytic_oracle(grid, t, T, drive):
     """analytic_mode by nested per-node loops; returns (alpha, c)."""
     om = grid.omega
     sq = np.sqrt(2.0 * om)
@@ -224,7 +241,7 @@ def _analytic_oracle(grid, t, drive):
     xg, wg = _GL8
     S = np.zeros((grid.n_modes, 3), complex)
     c_im = 0.0
-    edges = _time_segments(t, float(om.max()))
+    edges = _time_segments(t, float(om.max()), T)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         tsub = mid + half * xg
@@ -243,13 +260,13 @@ def _analytic_oracle(grid, t, drive):
     return alpha, -0.5 * np.sum(w[:, None] * np.abs(alpha) ** 2) + 1j * c_im
 
 
-def _classical_oracle(grid, t, drive):
+def _classical_oracle(grid, t, T, drive):
     """classical_field_modes by a per-node loop; returns (At, Vt)."""
     om = grid.omega
     xg, wg = _GL8
     Ssin = np.zeros((grid.n_modes, 3), complex)
     Scos = np.zeros_like(Ssin)
-    edges = _time_segments(t, float(om.max()))
+    edges = _time_segments(t, float(om.max()), T)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         for gj in range(8):
@@ -381,11 +398,11 @@ def test_quadratures_match_nested_loop_oracles(n):
     oracle = _drive_oracle(tr, LINE, g)
     for t in (0.6 * T, T):
         st = analytic_mode(tr, LINE, g, t)
-        alpha, c = _analytic_oracle(g, t, oracle)
+        alpha, c = _analytic_oracle(g, t, T, oracle)
         assert _rel(st.alpha, _in_plane(alpha)) <= 1e-13
         assert abs(st.c_phase - c) <= 1e-13 * abs(c)
         At, Vt = classical_field_modes(tr, LINE, g, t)
-        At_o, Vt_o = _classical_oracle(g, t, oracle)
+        At_o, Vt_o = _classical_oracle(g, t, T, oracle)
         assert _rel(At, _in_plane(At_o)) <= 1e-13
         assert _rel(Vt, _in_plane(Vt_o)) <= 1e-13
 

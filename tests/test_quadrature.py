@@ -6,7 +6,6 @@ from abtroika.geometry import Sense, TrajectoryHalfCircle
 from abtroika.quadrature import (
     QuadratureError,
     QuadratureSpec,
-    adaptive_1d,
     adaptive_nd,
     loglog_slope,
     pv_integral_1d,
@@ -57,6 +56,14 @@ def test_pv_random_alphas_both_kernels():
                                    err_msg=f"alpha={alpha}")
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 0.999])
+def test_pv_pole_near_endpoint_both_kernels(alpha):
+    v1 = pv_integral_1d(lambda z: 1.0 / (z**2 - alpha**2), alpha, (0.0, 1.0))
+    np.testing.assert_allclose(v1, pv_unit_interval_closed_form(alpha), rtol=0, atol=1e-8)
+    v2 = pv_integral_1d(lambda z: z / (z**2 - alpha**2), alpha, (0.0, 1.0))
+    np.testing.assert_allclose(v2, pv_unit_interval_z_closed_form(alpha), rtol=0, atol=1e-8)
+
+
 def test_pole_outside_interval_plain_quadrature():
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(1.05, 3.0, 10):
@@ -69,16 +76,10 @@ def test_pv_pole_on_endpoint_rejected():
         pv_integral_1d(lambda z: 1.0 / z, 0.0, (0.0, 1.0))
 
 
-def test_adaptive_1d_basic():
-    val, err = adaptive_1d(np.sin, 0.0, np.pi)
-    np.testing.assert_allclose(val, 2.0, atol=1e-10)
-    assert err < 1e-8
-
-
-def test_adaptive_1d_budget_error_carries_estimate():
+def test_pv_budget_error_carries_estimate():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=8)
     with pytest.raises(QuadratureError) as exc:
-        adaptive_1d(lambda x: np.sin(50 * x) ** 2, 0.0, 10.0, spec)
+        pv_integral_1d(lambda z: np.sin(50 * z) ** 2 / (z - 3.0), 3.0, (0.0, 10.0), spec)
     assert exc.value.estimate is not None
 
 
