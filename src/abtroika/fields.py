@@ -47,51 +47,93 @@ def loop_a_phi(loop_radius: float, current: float, rho, z):
     z = np.asarray(z, dtype=float)
     denom = (a + rho) ** 2 + z**2
     m = 4.0 * a * rho / denom
-    out = np.zeros(np.broadcast_shapes(rho.shape, z.shape))
     small = m < 1e-6
     # near-axis expansion: A_phi ~ I a^2 rho / (4 ((a+rho)^2 + z^2)^{3/2})
-    out = np.where(small, current * a**2 * rho / (4.0 * denom**1.5) * (1.0 + 0.75 * m), out)
+    series = current * a**2 * rho / (4.0 * denom**1.5) * (1.0 + 0.75 * m)
     ms = np.where(small | (m >= 1.0), 0.5, m)
     k = np.sqrt(ms)
     rho_safe = np.where(rho == 0.0, 1.0, rho)
     full = (current / (np.pi * k)) * np.sqrt(a / rho_safe) * (
         (1.0 - 0.5 * ms) * ellipk(ms) - ellipe(ms))
-    return np.where(small, out, full)
+    return np.where(small, series, full)
+
+
+# Table resolution: _N_RHO nodes over [0, rho_max], a z step no coarser than
+# z_max / (_N_Z - 1), and _PAD exact nodes beyond every edge, so that the
+# spline's mirror boundary condition acts off the table.  Its error decays by
+# about 0.27 per node inward: with 8 nodes it still read 1e-7 of max |A_phi|
+# next to the axis, with 16 it is below rounding.
+_N_RHO = 320
+_N_Z = 640
+_PAD = 16
+
+
+def _shifted_sum(profile, n, shift, width):
+    """sum_{i < n} profile[:, i shift : i shift + width], from contiguous
+    slices by doubling: blocks of 2^b shifted copies, one per bit of n."""
+    out = np.zeros((profile.shape[0], width))
+    block, size, start = profile, 1, 0
+    while True:
+        if n & size:
+            out += block[:, start:start + width]
+            start += size * shift
+        if 2 * size > n:
+            return out
+        block = block[:, :-size * shift] + block[:, size * shift:]
+        size *= 2
 
 
 class SolenoidPotentialTable:
-    """Cubic-spline table of the finite-loop azimuthal potential A_phi(rho, z).
+    """Cubic B-spline table of the finite-loop azimuthal potential A_phi(rho, z).
 
-    The potential is axisymmetric and even in z, so one quarter-plane table
-    serves all points; a thin band around the winding wires (where A_phi has
-    integrable log spikes) falls back to the exact loop sum.  Used to make
-    volume quadratures over many points affordable.
+    The loops are identical and evenly spaced, so the table is one loop's
+    profile summed over n shifts.  The z step is pitch / k, which makes every
+    node-to-loop offset z_j - z_i = (j - i k + (n - 1) k / 2) dz a whole or
+    half multiple of the step: loop_a_phi is evaluated once per
+    (rho, |offset|) node.  The grid is padded with exact nodes, odd in rho
+    and even in z, so the boundary condition is exact on the axis and the
+    mid-plane.  The potential is axisymmetric and even in z, so one
+    quarter-plane table serves all points; a thin band around the winding
+    wires (where A_phi has integrable log spikes) falls back to the exact
+    loop sum.  Points beyond the extent rho <= rho_max, |z| <= z_max raise
+    ValueError.
     """
 
-    def __init__(self, model: SolenoidModel, rho_max: float, z_max: float,
-                 n_rho: int = 320, n_z: int = 640):
-        from scipy.interpolate import RectBivariateSpline
+    def __init__(self, model: SolenoidModel, rho_max: float, z_max: float):
+        from scipy.ndimage import spline_filter
 
         self.model = model
-        a = model.solenoid_radius
-        self.rho = np.linspace(0.0, rho_max, n_rho)
-        self.z = np.linspace(0.0, z_max, n_z)
-        zs = model.loop_positions()
-        vals = np.zeros((n_rho, n_z))
-        chunk = max(1, int(2e6 // (len(zs) * n_z)))  # rows of ~2e6 loop terms
-        for i0 in range(0, n_rho, chunk):
-            sl = slice(i0, min(i0 + chunk, n_rho))
-            rr = self.rho[sl][:, None, None]
-            zz = self.z[None, :, None] - zs[None, None, :]
-            vals[sl] = loop_a_phi(a, model.loop_current, rr, zz).sum(axis=-1)
-        self._spl = RectBivariateSpline(self.rho, self.z, vals, kx=3, ky=3)
-        self._drho = self.rho[1] - self.rho[0]
-        self._dz = self.z[1] - self.z[0]
+        self.rho_max = rho_max
+        self.z_max = z_max
+        n = model.n_loops
+        pitch = model.length / n
+        k = int(np.ceil(pitch * (_N_Z - 1) / z_max))
+        self._drho = rho_max / (_N_RHO - 1)
+        self._dz = pitch / k
+        width = int(np.ceil(z_max / self._dz)) + 1 + 2 * _PAD  # z_j, j >= -_PAD
+        # offset of column j (from -_PAD) to loop i in half steps is
+        # s = 2 j - 2 i k + (n - 1) k, of the parity h of (n - 1) k; loop i
+        # reads the signed profile from index j + _PAD + (n - 1 - i) k
+        h = (n - 1) * k % 2
+        s = np.arange(-2 * _PAD - (n - 1) * k, 2 * (width - _PAD) + (n - 1) * k, 2)
+        node = (np.abs(s) - h) // 2  # |offset| = (node + h / 2) dz
+        rho = np.arange(_N_RHO + _PAD) * self._drho
+        one_loop = loop_a_phi(model.solenoid_radius, model.loop_current, rho[:, None],
+                              (np.arange(node.max() + 1) + 0.5 * h) * self._dz)
+        vals = _shifted_sum(one_loop[:, node], n, k, width)
+        vals = np.concatenate([-vals[_PAD:0:-1], vals])  # A(-rho) = -A(rho)
+        self._coef = spline_filter(vals, order=3, mode="mirror")
 
     def a_phi(self, rho, z):
+        from scipy.ndimage import map_coordinates
+
         rho = np.asarray(rho, dtype=float)
         z = np.abs(np.asarray(z, dtype=float))
-        out = self._spl(rho, z, grid=False)
+        if np.any(rho > self.rho_max) or np.any(z > self.z_max):
+            raise ValueError(f"solenoid table covers rho <= {self.rho_max:g}, "
+                             f"|z| <= {self.z_max:g} only")
+        out = map_coordinates(self._coef, [rho / self._drho + _PAD, z / self._dz + _PAD],
+                              order=3, mode="mirror", prefilter=False)
         m = self.model
         near_wire = (np.abs(rho - m.solenoid_radius) < 4 * self._drho) & (
             z < m.length / 2 + 4 * self._dz)

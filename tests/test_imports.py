@@ -46,11 +46,14 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_leaves_scipy_integrate_unloaded():
-    # scipy.integrate adds about 25 MB to the peak memory of every run; only
-    # pv_integral_1d uses it, and it imports it when called
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate", "scipy.ndimage"])
+def test_cli_leaves_scipy_module_unloaded(module):
+    # loading the command line does not import what only one library call
+    # needs: scipy.integrate (pv_integral_1d) adds about 25 MB to the peak
+    # memory of every run, scipy.interpolate 24 MB and 0.29 s; the solenoid
+    # table imports scipy.ndimage when it is built
     code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            "import abtroika.cli\nprint('scipy.integrate' in sys.modules)\n")
+            f"import abtroika.cli\nprint({module!r} in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
