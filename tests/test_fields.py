@@ -152,6 +152,8 @@ def test_solenoid_table_nodes_equal_the_loop_sum(n_loops, coarse, parity):
                         [0, int(z_max / table._dz)] * 2])
     rho, z = i * table._drho, j * table._dz
     exact = direct_loop_sum(model, rho, z)
+    # the floor: where A_phi is small, loop_a_phi's own rounding in
+    # (1 - m/2) K - E exceeds 1e-13 of the value for both sides
     np.testing.assert_allclose(table.a_phi(rho, z), exact, rtol=1e-13,
                                atol=1e-13 * np.abs(exact).max())
 
