@@ -11,79 +11,3 @@ Natural units c = hbar = 1 throughout; lengths in units of the orbit radius.
 """
 
 __version__ = "0.1.0"
-
-from .config import RunConfig
-from .decoherence import (
-    OverlapResult,
-    a1_smeared,
-    a2_smeared,
-    a_current_current,
-    a_modes_crosscheck,
-    a_point_regulated,
-    phase_c1_check,
-    visibility_report,
-)
-from .fields import (
-    SingularFieldPoint,
-    a_dot_electron,
-    a_electron_retarded,
-    a_solenoid,
-)
-from .geometry import (
-    Sense,
-    SmearKind,
-    SmearingProfile,
-    SolenoidKind,
-    SolenoidModel,
-    TrajectoryHalfCircle,
-    UnitsAndCouplings,
-    mirror_map,
-    mirror_vector,
-    position_velocity,
-)
-from .modes import (
-    ModeGrid,
-    ModeState,
-    analytic_mode,
-    evolve_mode,
-    overlap_coherent,
-    overlap_gaussian_check,
-    photon_number,
-    riccati_stationarity,
-)
-from .phases import (
-    PhaseReport,
-    assemble_phase_report,
-    extra_phase_ledger,
-    identity_eq15,
-    interference_probability,
-    naive_double_count,
-    phi1,
-    phi21,
-    phi22,
-    phi_ab_loop,
-)
-from .quadrature import (
-    QuadratureError,
-    QuadratureSpec,
-    adaptive_nd,
-    loglog_slope,
-    pv_integral_1d,
-    retarded_time_solve,
-)
-
-__all__ = [
-    "RunConfig", "OverlapResult", "a1_smeared", "a2_smeared",
-    "a_current_current", "a_modes_crosscheck", "a_point_regulated",
-    "phase_c1_check", "visibility_report", "SingularFieldPoint",
-    "a_dot_electron", "a_electron_retarded", "a_solenoid", "Sense",
-    "SmearKind", "SmearingProfile", "SolenoidKind", "SolenoidModel",
-    "TrajectoryHalfCircle", "UnitsAndCouplings", "mirror_map", "mirror_vector",
-    "position_velocity", "ModeGrid", "ModeState", "analytic_mode",
-    "evolve_mode", "overlap_coherent", "overlap_gaussian_check",
-    "photon_number", "riccati_stationarity", "PhaseReport",
-    "assemble_phase_report", "extra_phase_ledger", "identity_eq15",
-    "interference_probability", "naive_double_count", "phi1", "phi21", "phi22",
-    "phi_ab_loop", "QuadratureError", "QuadratureSpec", "adaptive_nd",
-    "loglog_slope", "pv_integral_1d", "retarded_time_solve",
-]

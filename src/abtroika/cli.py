@@ -193,7 +193,7 @@ def stage_modes(cfg: RunConfig, out_dir: str = "."):
     lhs, rhs = overlap_gaussian_check(stl, str_)
     residuals["overlap_identity_traverses"] = abs(lhs - rhs) / abs(lhs)
 
-    export_mode_state(st_a, os.path.join(out_dir, "mode_state.txt"), fmt="text")
+    export_mode_state(st_a, os.path.join(out_dir, "mode_state.txt"))
 
     checks = [
         check("riccati_stationarity", residuals["riccati_stationarity"], 1e-12),

@@ -25,7 +25,7 @@ e^2 equals fine_structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import jv
@@ -51,7 +51,6 @@ __all__ = [
     "a_modes_crosscheck",
     "phase_c1_check",
     "visibility_report",
-    "decoherence_sweep",
 ]
 
 _GL32 = np.polynomial.legendre.leggauss(32)
@@ -78,10 +77,6 @@ class OverlapResult:
     err_a1: float
     err_a2: float
     regulator: float | None = None
-
-    @property
-    def maximum_interference(self) -> bool:
-        return self.a_total < 0.1
 
 
 # ----------------------------------------------------------- reduced forms
@@ -198,7 +193,7 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
 
 
 def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
-               n_z: int = 40, with_error: bool = False):
+               n_z: int = 40):
     """Reduced cross term of the overlap exponent (line-smeared).
 
     a2 = (e^2 beta^2 / 4 pi^2) * 2 Int_0^1 dz (1-z) Int_0^2 dtau+
@@ -208,7 +203,8 @@ def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
     pole in closed form.  The smearing is kept (the un-smeared corner at
     coinciding traverse endpoints is log-divergent); setting lam = 0 is
     rejected.  Matches the physical cross term of the current-current
-    integral to a couple of percent.
+    integral to a couple of percent.  Returns (value, error), the error
+    from halving the z and tau+ resolution.
     """
     if lam <= 0:
         raise ValueError("a2_smeared requires lam > 0 (endpoint corners diverge)")
@@ -239,11 +235,7 @@ def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
     coarse = z_integral(n_z // 2, 30)
     fine = z_integral(n_z, 44)
     pref = fine_structure * beta**2 / (4 * np.pi**2) * 2.0
-    value = pref * fine
-    err = abs(pref * (fine - coarse))
-    if with_error:
-        return value, err
-    return value
+    return pref * fine, abs(pref * (fine - coarse))
 
 
 def a_point_regulated(beta: float, epsilon: float,
@@ -322,7 +314,6 @@ def _bessel_square_sums(x, c):
 def a_current_current(beta: float, lam: float,
                       fine_structure: float = 1.0 / 137.036,
                       k_max: float | None = None, n_mu: int = 96,
-                      nodes_per_unit: int | None = None,
                       n_extra: int = 25):
     """Physical overlap exponent from the current-current integral.
 
@@ -349,9 +340,7 @@ def a_current_current(beta: float, lam: float,
     sigma = lam
     if k_max is None:
         k_max = 40.0 / sigma
-    if nodes_per_unit is None:
-        nodes_per_unit = int(min(max(8, 3 * T), 48))
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_unit)
+    xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
     nseg = int(np.ceil(k_max))
     xmu, wmu = np.polynomial.legendre.leggauss(n_mu)
     mu = 0.5 * (xmu + 1.0)  # half range; the integrand is even in mu
@@ -436,7 +425,7 @@ def a_modes_crosscheck(beta: float, lam: float,
 
 def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
                    rho_max: float = 6.0, z_max: float = 8.0, n_phi: int = 16,
-                   spec: QuadratureSpec | None = None, eta: float = 0.01,
+                   spec: QuadratureSpec | None = None,
                    traj_left: TrajectoryHalfCircle | None = None,
                    line_nodes: int = 16):
     """Overlap phase of the radiated parts,
@@ -446,16 +435,16 @@ def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
     returned scale is the integral of the pointwise |.|.|.| magnitude so the
     cancellation can be judged relative to it.  Passing a perturbed
     traj_left (e.g. different radius) breaks the symmetry and produces a
-    nonzero value (negative control).  Returns (value, scale).
+    nonzero value (negative control).  An unramped traverse is given the
+    start-up ramp fraction 0.01.  Returns (value, scale).
     """
-    import dataclasses as _dc
+    def ramped(traj):
+        if traj.ramp_fraction > 0:
+            return traj
+        return replace(traj, ramp_fraction=0.01)
 
-    right = traj_right
-    if right.ramp_fraction == 0 and eta > 0:
-        right = _dc.replace(right, ramp_fraction=eta)
-    left = right.mirrored() if traj_left is None else traj_left
-    if left.ramp_fraction == 0 and eta > 0:
-        left = _dc.replace(left, ramp_fraction=eta)
+    right = ramped(traj_right)
+    left = ramped(right.mirrored() if traj_left is None else traj_left)
     T = right.traverse_time
     if spec is None:
         spec = QuadratureSpec(abs_tol=5e-5, rel_tol=1e-3, max_subdivisions=1500)
@@ -501,7 +490,7 @@ def visibility_report(beta: float, lam: float,
             f"a_total={a_total:.3e}); the run is inconsistent")
     a1 = a1_smeared(beta, lam, fine_structure)
     a1_exact = a1_smeared(beta, lam, fine_structure, retain_sin_correction=True)
-    a2, err_a2 = a2_smeared(beta, lam, fine_structure, with_error=True)
+    a2, err_a2 = a2_smeared(beta, lam, fine_structure)
     phase, scale = (0.0, 0.0)
     if compute_phase:
         traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT)
@@ -520,18 +509,3 @@ def visibility_report(beta: float, lam: float,
         err_a1=abs(a1 - a1_exact),
         err_a2=err_a2,
     )
-
-
-def decoherence_sweep(betas, lams, fine_structure: float = 1.0 / 137.036,
-                      compute_phase: bool = False):
-    """Rows of (beta, lambda, a1, a2, a_total, visibility, phase_c1,
-    err_a1, err_a2) over the parameter grid."""
-    rows = []
-    for beta in betas:
-        for lam in lams:
-            res = visibility_report(beta, lam, fine_structure,
-                                    compute_phase=compute_phase)
-            rows.append((beta, lam, res.a1, res.a2, res.a_total,
-                         res.visibility, res.overlap_phase,
-                         res.err_a1, res.err_a2))
-    return rows

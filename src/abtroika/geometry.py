@@ -140,10 +140,6 @@ class TrajectoryHalfCircle:
             acc += dspd[:, None] * tang
         return acc
 
-    def angle(self, t):
-        arc, _ = self._arc_speed(t)
-        return self.start_angle + self.angle_rate_sign * arc / self.radius
-
     def mirrored(self) -> "TrajectoryHalfCircle":
         """The opposite-sense traverse (same radius, speed, ramp)."""
         other = Sense.LEFT if self.sense is Sense.RIGHT else Sense.RIGHT
@@ -217,15 +213,6 @@ class SolenoidModel:
         return -L / 2 + (np.arange(n) + 0.5) * (L / n)
 
 
-def position_velocity(traj: TrajectoryHalfCircle, t: float):
-    """Electron position and velocity at time t in [0, T]."""
-    T = traj.traverse_time
-    if np.any(np.asarray(t) < 0.0) or np.any(np.asarray(t) > T * (1 + 1e-12)):
-        raise ValueError(f"t must lie in [0, T = {T:g}]")
-    pos, vel = traj.point_velocity_extended(t)
-    return pos, vel
-
-
 def mirror_map(x):
     """180-degree rotation about the y axis: (x, y, z) -> (-x, y, -z)."""
     x = np.asarray(x, dtype=float)
@@ -233,8 +220,4 @@ def mirror_map(x):
     out[..., 0] *= -1.0
     out[..., 2] *= -1.0
     return out
-
-
-# vectors transform the same way under a rotation
-mirror_vector = mirror_map
 

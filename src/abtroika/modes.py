@@ -488,12 +488,11 @@ def _fields_from_state(state: ModeState):
     return A.reshape(n, n, n, p), V.reshape(n, n, n, p)
 
 
-def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray,
-                      c_extra: float = 0.0) -> ModeState:
+def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray) -> ModeState:
     """Coherent state whose mean field and field velocity are (A, Adot).
 
     alpha(k) = sqrt(omega/2) At(k) + (i/sqrt(2 omega)) Vt(k); the phase c is
-    fixed to -(1/2) Sum w |alpha|^2 + i c_extra.
+    fixed to -(1/2) Sum w |alpha|^2.
     """
     if grid.kind != "fft":
         raise ValueError("state_from_fields needs an fft-pair ModeGrid")
@@ -509,7 +508,7 @@ def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray,
         Vt[:, i] = np.fft.fftn(Adot[..., i]).ravel()[keep] * fac
     om = grid.omega
     alpha = np.sqrt(om / 2)[:, None] * At + 1j / np.sqrt(2 * om)[:, None] * Vt
-    c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2) + 1j * c_extra
+    c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)
     return ModeState(grid, alpha, complex(c), 0.0)
 
 
@@ -534,8 +533,7 @@ def random_smooth_state(grid: ModeGrid, rng, corr: float = 0.35) -> ModeState:
     return state_from_fields(grid, A, V)
 
 
-def overlap_gaussian_check(state_l: ModeState, state_r: ModeState,
-                           field_grid: ModeGrid | None = None):
+def overlap_gaussian_check(state_l: ModeState, state_r: ModeState):
     """The overlap evaluated two ways: coherent form vs Gaussian-functional form.
 
     Returns (lhs, rhs): lhs from the alpha representation, rhs from the
@@ -546,7 +544,7 @@ def overlap_gaussian_check(state_l: ModeState, state_r: ModeState,
     the pair is computed through genuinely different code paths (mode sums
     against FFT reconstruction and real-space sums).
     """
-    grid = state_l.grid if field_grid is None else field_grid
+    grid = state_l.grid
     if grid.kind != "fft":
         raise ValueError("overlap_gaussian_check needs an fft-pair ModeGrid")
     lhs = overlap_coherent(state_l, state_r)
@@ -605,14 +603,9 @@ def b_relation_residual(traj, smear, grid: ModeGrid, t: float) -> float:
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def export_mode_state(state: ModeState, path, fmt: str = "text") -> None:
-    """Snapshot of the mode amplitudes.
-
-    text: whitespace table, one row per (mode, polarization):
-          kx ky kz pol Re(alpha) Im(alpha) weight
-    binary: the same seven float64 columns, little-endian ('<f8'), row-major,
-            no header.
-    """
+def export_mode_state(state: ModeState, path) -> None:
+    """Snapshot of the mode amplitudes as a whitespace table, one row per
+    (mode, polarization): kx ky kz pol Re(alpha) Im(alpha) weight."""
     g = state.grid
     rows = []
     for i in range(state.alpha.shape[1]):
@@ -624,11 +617,5 @@ def export_mode_state(state: ModeState, path, fmt: str = "text") -> None:
             g.weights,
         ])
         rows.append(block)
-    table = np.concatenate(rows, axis=0)
-    if fmt == "text":
-        header = "kx ky kz pol re_alpha im_alpha weight"
-        np.savetxt(path, table, header=header)
-    elif fmt == "binary":
-        table.astype("<f8").tofile(path)
-    else:
-        raise ValueError("fmt must be 'text' or 'binary'")
+    np.savetxt(path, np.concatenate(rows, axis=0),
+               header="kx ky kz pol re_alpha im_alpha weight")

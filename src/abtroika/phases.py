@@ -38,9 +38,6 @@ __all__ = [
     "phi21",
     "phi22",
     "phi1",
-    "identity_eq15",
-    "naive_double_count",
-    "extra_phase_ledger",
     "interference_probability",
     "assemble_phase_report",
     "circle_path",
@@ -198,13 +195,11 @@ class Phi1Result:
 
 
 def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidModel,
-         rho_max: float | None = None, z_margin: float | None = None,
-         n_phi: int = 16, spec: QuadratureSpec | None = None,
+         rho_max: float | None = None, n_phi: int = 16, spec: QuadratureSpec | None = None,
          tail_tol: float | None = None) -> Phi1Result:
     """(1/2) Int d3x  Adot_el(x, T) . A_sol(x) over a truncated cylinder.
 
-    The domain is rho <= rho_max (default 8 R), |z| <= L/2 + z_margin
-    (default 4 R); the tail estimate is the outer-half-shell contribution
+    The domain is rho <= rho_max (default 8 R), |z| <= L/2 + 4 R; the tail estimate is the outer-half-shell contribution
     |I(rho_max) - I(rho_max / 2)|.  The start must be ramped
     (ramp_fraction > 0; see a_dot_electron); the self term Adot_el . A_el is
     not computed (identical for the two traverses).
@@ -214,7 +209,7 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     R = traj.radius
     if rho_max is None:
         rho_max = 8.0 * R
-    z_max = model.length / 2 + (4.0 * R if z_margin is None else z_margin)
+    z_max = model.length / 2 + 4.0 * R
     if spec is None:
         spec = QuadratureSpec(abs_tol=5e-5, rel_tol=1e-3, max_subdivisions=4000)
     T = traj.traverse_time
@@ -235,79 +230,6 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
             estimate=value, error=tail)
     return Phi1Result(value=value, tail_estimate=tail,
                       quad_error=0.5 * (err_in + err_out), rho_max=rho_max)
-
-
-def _with_ramp(traj: TrajectoryHalfCircle, eta: float) -> TrajectoryHalfCircle:
-    if traj.ramp_fraction > 0 or eta <= 0:
-        return traj
-    return dataclasses.replace(traj, ramp_fraction=eta)
-
-
-def identity_eq15(traj: TrajectoryHalfCircle, smear: SmearingProfile,
-                  model: SolenoidModel, eta: float = 0.01, **phi1_kwargs) -> dict:
-    """Residual of the radiated-field exchange identity phi1 + phi22 = phi21.
-
-    The two sides are computed by independent quadratures (a 1D line
-    integral against a 3D volume integral plus per-winding retarded line
-    integrals).  All three use the same ramped trajectory so the identity is
-    exact in the continuum and the residual measures numerics only.
-    """
-    tr = _with_ramp(traj, eta)
-    p21 = phi21(tr, model)
-    p22 = phi22(tr, smear, model)
-    p1 = phi1(tr, smear, model, **phi1_kwargs)
-    residual = abs(p1.value + p22 - p21)
-    return {
-        "phi21": p21,
-        "phi22": p22,
-        "phi1": p1.value,
-        "phi1_tail": p1.tail_estimate,
-        "residual": residual,
-        "residual_rel": residual / abs(p21) if p21 else 0.0,
-    }
-
-
-def naive_double_count(traj: TrajectoryHalfCircle, model: SolenoidModel,
-                       smear: SmearingProfile | None = None,
-                       phi22_value: float | None = None) -> float:
-    """Traverse-difference phase of the separable (both-currents-quantized,
-    classical potential) approximation: both exchange mechanisms add, giving
-    about twice the interference shift."""
-    if smear is None:
-        smear = SmearingProfile()
-    p21 = phi21(traj, model)
-    p22 = phi22(traj, smear, model) if phi22_value is None else phi22_value
-    return 4.0 * (p21 + p22)
-
-
-@dataclass(frozen=True)
-class ExtraPhaseLedger:
-    extra_el: float
-    extra_sol: float
-    corrected_a_phase: float
-    grand_total: float
-
-
-def extra_phase_ledger(traj, smear, model, eta: float = 0.01,
-                       parts: dict | None = None, **phi1_kwargs) -> ExtraPhaseLedger:
-    """Variational product-ansatz bookkeeping for the right traverse.
-
-    Removing the real c-number terms from the electron and solenoid
-    equations costs the field equation their sum: extra_el = -2 phi21 and
-    extra_sol = -2 phi22.  The field phase phi21 + phi22 + phi1 plus both
-    extra phases is then -(phi21 + phi22 - phi1) ~ -(e flux)/2, and the
-    grand total over the three factors returns +(e flux)/2.
-    """
-    if parts is None:
-        parts = identity_eq15(traj, smear, model, eta=eta, **phi1_kwargs)
-    p21, p22, p1 = parts["phi21"], parts["phi22"], parts["phi1"]
-    extra_el = -2.0 * p21
-    extra_sol = -2.0 * p22
-    uncorrected = p21 + p22 + p1
-    corrected = uncorrected + extra_el + extra_sol
-    grand = 2.0 * p21 + 2.0 * p22 + corrected
-    return ExtraPhaseLedger(extra_el=extra_el, extra_sol=extra_sol,
-                            corrected_a_phase=corrected, grand_total=grand)
 
 
 def interference_probability(phase: float, a: float):
@@ -339,40 +261,60 @@ class PhaseReport:
 
 def assemble_phase_report(traj: TrajectoryHalfCircle, smear: SmearingProfile,
                           model: SolenoidModel, eta: float = 0.01,
-                          compute_left: bool = False, **phi1_kwargs) -> PhaseReport:
-    """All phase quantities for one traverse pair (left by sign flip unless
-    compute_left, which reruns the full pipeline on the mirrored traverse)."""
+                          **phi1_kwargs) -> PhaseReport:
+    """All phase quantities for one traverse pair, from phi21, phi22 and phi1
+    of the right traverse (the left one follows by sign flip).
+
+    An unramped traverse is given the start-up ramp eta, and all three terms
+    use that same ramped trajectory: the radiated-field exchange identity
+    phi1 + phi22 = phi21 is then exact in the continuum, and its residual,
+    between a 1D line integral and a 3D volume integral plus per-winding
+    retarded line integrals, measures numerics only.
+
+    Variational product-ansatz bookkeeping: removing the real c-number terms
+    from the electron and solenoid equations costs the field equation their
+    sum, extra_el = -2 phi21 and extra_sol = -2 phi22.  The field phase
+    phi21 + phi22 + phi1 plus both extra phases is then
+    -(phi21 + phi22 - phi1) ~ -(e flux)/2, and the grand total over the
+    three factors returns +(e flux)/2.  The separable (both currents
+    quantized, classical potential) approximation instead adds both exchange
+    mechanisms: its traverse-difference phase naive = 4 (phi21 + phi22) is
+    about twice the interference shift.
+    """
     right = traj if traj.sense is Sense.RIGHT else traj.mirrored()
-    parts = identity_eq15(right, smear, model, eta=eta, **phi1_kwargs)
-    ledger = extra_phase_ledger(right, smear, model, parts=parts)
+    if right.ramp_fraction == 0 and eta > 0:
+        right = dataclasses.replace(right, ramp_fraction=eta)
+    p21 = phi21(right, model)
+    p22 = phi22(right, smear, model)
+    p1 = phi1(right, smear, model, **phi1_kwargs)
+    residual = abs(p1.value + p22 - p21)
+    extra_el = -2.0 * p21
+    extra_sol = -2.0 * p22
+    corrected = (p21 + p22 + p1.value) + extra_el + extra_sol
     phi_ab = right.charge * model.flux
-    total_right = parts["phi21"] + parts["phi1"] + parts["phi22"]
-    if compute_left:
-        left_parts = identity_eq15(right.mirrored(), smear, model, eta=eta, **phi1_kwargs)
-        total_left = left_parts["phi21"] + left_parts["phi1"] + left_parts["phi22"]
-    else:
-        total_left = -total_right
-    naive = 4.0 * (parts["phi21"] + parts["phi22"])
+    total_right = p21 + p1.value + p22
+    total_left = -total_right
+    naive = 4.0 * (p21 + p22)
     residuals = {
-        "identity_eq15": parts["residual"],
-        "identity_eq15_rel": parts["residual_rel"],
+        "identity_eq15": residual,
+        "identity_eq15_rel": residual / abs(p21) if p21 else 0.0,
         "total_right_vs_half_phi_ab": abs(total_right - 0.5 * phi_ab),
         "left_right_antisymmetry": abs(total_left + total_right),
         "naive_over_phi_ab": naive / phi_ab if phi_ab else 0.0,
     }
     return PhaseReport(
         phi_ab=phi_ab,
-        phi21=parts["phi21"],
-        phi22=parts["phi22"],
-        phi1=parts["phi1"],
-        phi1_tail=parts["phi1_tail"],
-        phi2=parts["phi21"] + parts["phi22"],
+        phi21=p21,
+        phi22=p22,
+        phi1=p1.value,
+        phi1_tail=p1.tail_estimate,
+        phi2=p21 + p22,
         phi_total_right=total_right,
         phi_total_left=total_left,
         naive_total=naive,
-        extra_phase_el=ledger.extra_el,
-        extra_phase_sol=ledger.extra_sol,
-        corrected_a_phase=ledger.corrected_a_phase,
-        grand_total=ledger.grand_total,
+        extra_phase_el=extra_el,
+        extra_phase_sol=extra_sol,
+        corrected_a_phase=corrected,
+        grand_total=2.0 * p21 + 2.0 * p22 + corrected,
         identity_residuals=residuals,
     )

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per advertised claim, each printing a
 pass/fail line (run with `pytest tests/test_acceptance.py -v -s`).
 
-Shared heavy computations (the beta = 0.05 exchange-identity parts) are
+Shared heavy computations (the beta = 0.05 phase report) are
 module-scoped fixtures so each criterion still runs at its stated tolerance
 without repeating hour-scale work.
 """
@@ -39,11 +39,10 @@ from abtroika.modes import (
 )
 from abtroika.phases import (
     arc_path,
-    extra_phase_ledger,
-    identity_eq15,
+    assemble_phase_report,
     interference_probability,
-    naive_double_count,
     phi21,
+    phi22,
     phi_ab_loop,
 )
 from abtroika.quadrature import loglog_slope, pv_integral_1d
@@ -63,7 +62,7 @@ def _verdict(num, label, ok, detail):
 @pytest.fixture(scope="module")
 def identity_beta005():
     tr = TrajectoryHalfCircle(1.0, 0.05, Sense.RIGHT)
-    return identity_eq15(tr, POINT, LOOPS)
+    return assemble_phase_report(tr, POINT, LOOPS)
 
 
 def test_criterion_01_line_integral_routes():
@@ -82,7 +81,6 @@ def test_criterion_01_line_integral_routes():
 
 
 def test_criterion_02_nonrelativistic_reciprocity():
-    from abtroika.phases import phi22
     t0 = time.time()
     tr = TrajectoryHalfCircle(1.0, 0.01, Sense.RIGHT)
     p21 = phi21(tr, LOOPS)
@@ -96,10 +94,10 @@ def test_criterion_02_nonrelativistic_reciprocity():
 
 def test_criterion_03_relativistic_identity(identity_beta005):
     t0 = time.time()
-    rel_a = identity_beta005["residual_rel"]
+    rel_a = identity_beta005.identity_residuals["identity_eq15_rel"]
     tr = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT)
-    parts_b = identity_eq15(tr, POINT, LOOPS)
-    rel_b = parts_b["residual_rel"]
+    rep_b = assemble_phase_report(tr, POINT, LOOPS)
+    rel_b = rep_b.identity_residuals["identity_eq15_rel"]
     elapsed = time.time() - t0
     ok = rel_a < 0.02 and rel_b < 0.05 and elapsed < 1800
     _verdict(3, "radiation term closes the exchange identity",
@@ -109,17 +107,16 @@ def test_criterion_03_relativistic_identity(identity_beta005):
 
 def test_criterion_04_naive_double_count():
     tr = TrajectoryHalfCircle(1.0, 0.01, Sense.RIGHT)
-    ratio = naive_double_count(tr, LOOPS) / PHI_AB
+    ratio = 4 * (phi21(tr, LOOPS) + phi22(tr, POINT, LOOPS)) / PHI_AB
     ok = abs(ratio - 2.0) < 0.05
     _verdict(4, "separable approximation doubles the shift", ok,
              f"ratio {ratio:.4f}")
 
 
 def test_criterion_05_extra_phase_ledger(identity_beta005):
-    tr = TrajectoryHalfCircle(1.0, 0.05, Sense.RIGHT)
-    led = extra_phase_ledger(tr, POINT, LOOPS, parts=identity_beta005)
-    dev_pair = abs(led.extra_el - led.extra_sol) / abs(led.extra_el)
-    dev_total = abs(led.grand_total / (0.5 * PHI_AB) - 1.0)
+    rep = identity_beta005
+    dev_pair = abs(rep.extra_phase_el - rep.extra_phase_sol) / abs(rep.extra_phase_el)
+    dev_total = abs(rep.grand_total / (0.5 * PHI_AB) - 1.0)
     ok = dev_pair < 0.02 and dev_total < 0.03
     _verdict(5, "variational extra phases restore half the shift", ok,
              f"extra pair dev {dev_pair:.2e}, grand total dev {dev_total:.2e}")
@@ -241,9 +238,9 @@ def test_criterion_12_scaling_law():
     slope_beta = loglog_slope(np.stack([betas, a1_b], axis=1))
     ratios_ok = True
     for b in betas:
-        r = abs(a2_smeared(b, 1.0, 1.0) / a1_smeared(b, 1.0, 1.0))
+        r = abs(a2_smeared(b, 1.0, 1.0)[0] / a1_smeared(b, 1.0, 1.0))
         ratios_ok &= 0.1 * b**2 < r < 10 * b**2
-    a2v, a2err = a2_smeared(0.2, 1.0, 1.0, with_error=True)
+    a2v, a2err = a2_smeared(0.2, 1.0, 1.0)
     elapsed = time.time() - t0
     ok = (abs(slope_lam + 1.0) < 0.2 and abs(slope_beta - 1.0) < 0.2
           and ratios_ok and a2err < 0.01 * a2v and elapsed < 600)

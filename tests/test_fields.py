@@ -20,7 +20,6 @@ from abtroika.geometry import (
     SolenoidModel,
     TrajectoryHalfCircle,
     mirror_map,
-    mirror_vector,
 )
 from abtroika.quadrature import retarded_time_solve
 
@@ -284,7 +283,7 @@ def test_retarded_mirror_antisymmetry():
     t = 0.7 * right.traverse_time
     ar = a_electron_retarded(right, POINT, x, t)
     al = a_electron_retarded(left, POINT, mirror_map(x), t)
-    np.testing.assert_allclose(al, mirror_vector(ar), atol=1e-10)
+    np.testing.assert_allclose(al, mirror_map(ar), atol=1e-10)
 
 
 def test_line_smear_reduces_to_point():

@@ -8,8 +8,6 @@ from abtroika.geometry import (
     TrajectoryHalfCircle,
     UnitsAndCouplings,
     mirror_map,
-    mirror_vector,
-    position_velocity,
 )
 
 
@@ -29,16 +27,16 @@ def test_couplings_validation():
 
 def test_right_traverse_endpoints():
     traj = make_traj()
-    pos0, vel0 = position_velocity(traj, 0.0)
+    pos0, vel0 = traj.point_velocity_extended(0.0)
     np.testing.assert_allclose(pos0.ravel(), [0.0, -1.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(vel0.ravel(), [traj.speed, 0.0, 0.0], atol=1e-14)
-    posT, _ = position_velocity(traj, traj.traverse_time)
+    posT, _ = traj.point_velocity_extended(traj.traverse_time)
     np.testing.assert_allclose(posT.ravel(), [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_left_traverse_start():
     traj = make_traj(Sense.LEFT)
-    pos0, vel0 = position_velocity(traj, 0.0)
+    pos0, vel0 = traj.point_velocity_extended(0.0)
     np.testing.assert_allclose(pos0.ravel(), [0.0, -1.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(vel0.ravel(), [-traj.speed, 0.0, 0.0], atol=1e-14)
 
@@ -51,7 +49,7 @@ def test_traverse_time():
 def test_position_norm_and_speed():
     traj = make_traj(beta=0.3)
     t = np.linspace(0.0, traj.traverse_time, 201)
-    pos, vel = position_velocity(traj, t)
+    pos, vel = traj.point_velocity_extended(t)
     np.testing.assert_allclose(np.linalg.norm(pos, axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(vel, axis=-1), 0.3, atol=1e-12)
 
@@ -59,31 +57,21 @@ def test_position_norm_and_speed():
 def test_ramp_speed_profile():
     traj = make_traj(beta=0.2, eta=0.1)
     T = traj.traverse_time
-    _, vel0 = position_velocity(traj, 0.0)
+    _, vel0 = traj.point_velocity_extended(0.0)
     assert np.linalg.norm(vel0) == 0.0
     t = np.linspace(0.15 * T, T, 50)
-    _, vel = position_velocity(traj, t)
+    _, vel = traj.point_velocity_extended(t)
     np.testing.assert_allclose(np.linalg.norm(vel, axis=-1), 0.2, atol=1e-12)
     # position still on the circle throughout the ramp
     t = np.linspace(0.0, T, 101)
-    pos, _ = position_velocity(traj, t)
+    pos, _ = traj.point_velocity_extended(t)
     np.testing.assert_allclose(np.linalg.norm(pos, axis=-1), 1.0, atol=1e-12)
-
-
-def test_domain_error_outside_traverse():
-    traj = make_traj()
-    with pytest.raises(ValueError):
-        position_velocity(traj, -0.1)
-    with pytest.raises(ValueError):
-        position_velocity(traj, traj.traverse_time * 1.01)
 
 
 def test_mirror_map_basics():
     np.testing.assert_allclose(mirror_map([1.0, 2.0, 3.0]), [-1.0, 2.0, -3.0])
     x = np.array([0.3, -1.2, 0.7])
     np.testing.assert_allclose(mirror_map(mirror_map(x)), x)
-    assert mirror_vector is mirror_map or np.allclose(
-        mirror_vector([1.0, 0.0, 1.0]), [-1.0, 0.0, -1.0])
 
 
 def test_mirror_maps_right_onto_left():
@@ -91,10 +79,10 @@ def test_mirror_maps_right_onto_left():
     left = make_traj(Sense.LEFT, beta=0.4)
     T = right.traverse_time
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        pr, vr = position_velocity(right, frac * T)
-        pl, vl = position_velocity(left, frac * T)
+        pr, vr = right.point_velocity_extended(frac * T)
+        pl, vl = left.point_velocity_extended(frac * T)
         np.testing.assert_allclose(mirror_map(pr), pl, atol=1e-12)
-        np.testing.assert_allclose(mirror_vector(vr), vl, atol=1e-12)
+        np.testing.assert_allclose(mirror_map(vr), vl, atol=1e-12)
 
 
 def test_solenoid_loop_current_reproduces_flux():

@@ -625,21 +625,17 @@ def test_b_relation_from_classical_field():
 
 # ------------------------------------------------------------------- export
 
-def test_export_text_and_binary(tmp_path):
+def test_export_text(tmp_path):
     g = ModeGrid.cartesian(4, 2.0)
     rng = np.random.default_rng(9)
     alpha = rng.normal(size=(g.n_modes, 3)) + 1j * rng.normal(size=(g.n_modes, 3))
     st = _coherent_state(g, alpha)
     txt = tmp_path / "state.txt"
-    export_mode_state(st, txt, fmt="text")
+    export_mode_state(st, txt)
     table = np.loadtxt(txt)
     assert table.shape == (3 * g.n_modes, 7)
     np.testing.assert_allclose(table[: g.n_modes, :3], g.k_points)
     np.testing.assert_allclose(table[: g.n_modes, 4], alpha[:, 0].real)
-    binf = tmp_path / "state.bin"
-    export_mode_state(st, binf, fmt="binary")
-    raw = np.fromfile(binf, dtype="<f8").reshape(3 * g.n_modes, 7)
-    np.testing.assert_allclose(raw, table)
 
 
 def test_export_in_plane_state(tmp_path):
@@ -647,7 +643,7 @@ def test_export_in_plane_state(tmp_path):
     g = ModeGrid.cartesian(4, 2.0).fold_kz()
     st = analytic_mode(tr, LINE, g, tr.traverse_time)
     txt = tmp_path / "state.txt"
-    export_mode_state(st, txt, fmt="text")
+    export_mode_state(st, txt)
     table = np.loadtxt(txt)
     assert table.shape == (2 * g.n_modes, 7)
     np.testing.assert_array_equal(table[:, 3], np.repeat([0.0, 1.0], g.n_modes))

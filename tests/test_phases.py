@@ -14,10 +14,7 @@ from abtroika.phases import (
     arc_path,
     assemble_phase_report,
     circle_path,
-    extra_phase_ledger,
-    identity_eq15,
     interference_probability,
-    naive_double_count,
     phi1,
     phi21,
     phi22,
@@ -143,28 +140,36 @@ def test_phi1_tail_tolerance_error():
 # ------------------------------------------------------------------ identity
 
 def test_identity_eq15_beta_005():
-    parts = identity_eq15(traj(beta=0.05), POINT, LOOPS)
-    assert parts["residual_rel"] < 0.02
+    rep = assemble_phase_report(traj(beta=0.05), POINT, LOOPS)
+    assert rep.identity_residuals["identity_eq15_rel"] < 0.02
     # the two routes really were computed independently
-    assert parts["phi21"] != parts["phi22"]
+    assert rep.phi21 != rep.phi22
 
 
 def test_identity_eq15_no_current_vanishes_exactly():
     tr = dataclasses.replace(traj(beta=0.1), charge=0.0)
-    parts = identity_eq15(tr, POINT, LOOPS, rho_max=2.0)
-    assert parts["phi21"] == 0.0 and parts["phi22"] == 0.0
-    assert parts["phi1"] == 0.0 and parts["residual"] == 0.0
+    rep = assemble_phase_report(tr, POINT, LOOPS, rho_max=2.0)
+    assert rep.phi21 == 0.0 and rep.phi22 == 0.0
+    assert rep.phi1 == 0.0 and rep.identity_residuals["identity_eq15"] == 0.0
 
 
 def test_full_left_computation_cross_check():
-    # cross-check mode: the left traverse recomputed from scratch, not by
-    # sign flip; every quantity must come out antisymmetric
-    rep = assemble_phase_report(traj(beta=0.1), POINT, LOOPS, compute_left=True)
-    np.testing.assert_allclose(rep.phi_total_left, -rep.phi_total_right,
-                               rtol=1e-8)
+    # the left traverse recomputed from scratch, not by sign flip, on the
+    # same ramp: every quantity must come out antisymmetric
+    right = traj(beta=0.1, eta=0.01)
+    rep = assemble_phase_report(right, POINT, LOOPS)
+    left = right.mirrored()
+    total_left = (phi21(left, LOOPS) + phi1(left, POINT, LOOPS).value
+                  + phi22(left, POINT, LOOPS))
+    np.testing.assert_allclose(total_left, -rep.phi_total_right, rtol=1e-8)
 
 
 # ------------------------------------------------------- naive double count
+
+def naive_double_count(tr, model):
+    """Traverse-difference phase of the separable approximation."""
+    return 4 * (phi21(tr, model) + phi22(tr, POINT, model))
+
 
 def test_naive_double_count_is_twice_the_shift():
     tr = traj(beta=0.01)
@@ -187,19 +192,20 @@ def test_naive_ratio_across_betas():
 # ------------------------------------------------------------ extra phases
 
 def test_extra_phase_ledger_entries():
-    led = extra_phase_ledger(traj(beta=0.05), POINT, LOOPS)
+    rep = assemble_phase_report(traj(beta=0.05), POINT, LOOPS)
     # both extra phases equal minus the traverse phase
-    assert abs(led.extra_el - led.extra_sol) < 0.02 * abs(led.extra_el)
+    assert abs(rep.extra_phase_el - rep.extra_phase_sol) < 0.02 * abs(rep.extra_phase_el)
     # the corrected field phase is the negative of the traverse phase
-    assert abs(led.corrected_a_phase + led.grand_total) < 0.03
+    assert abs(rep.corrected_a_phase + rep.grand_total) < 0.03
     # grand total: half the interference shift
-    assert abs(led.grand_total - 0.5) < 0.03 * 0.5
+    assert abs(rep.grand_total - 0.5) < 0.03 * 0.5
 
 
 def test_extra_phase_ledger_zero_flux():
     zero = dataclasses.replace(LOOPS, flux=0.0)
-    led = extra_phase_ledger(traj(beta=0.05), POINT, zero)
-    for v in (led.extra_el, led.extra_sol, led.corrected_a_phase, led.grand_total):
+    rep = assemble_phase_report(traj(beta=0.05), POINT, zero)
+    for v in (rep.extra_phase_el, rep.extra_phase_sol, rep.corrected_a_phase,
+              rep.grand_total):
         assert abs(v) < 1e-10
 
 
