@@ -40,16 +40,20 @@ def loop_a_phi(loop_radius: float, current: float, rho, z):
     """Azimuthal potential of a single circular loop at height z = 0.
 
     A_phi = (I/(pi k)) sqrt(a/rho) [(1 - m/2) K(m) - E(m)],
-    m = k^2 = 4 a rho / ((a + rho)^2 + z^2); series used for small m.
+    m = k^2 = 4 a rho / ((a + rho)^2 + z^2).  Below m = 1e-2 the bracket
+    cancels to pi m^2 / 32 and the series is used instead.
     """
     a = loop_radius
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     denom = (a + rho) ** 2 + z**2
     m = 4.0 * a * rho / denom
-    small = m < 1e-6
-    # near-axis expansion: A_phi ~ I a^2 rho / (4 ((a+rho)^2 + z^2)^{3/2})
-    series = current * a**2 * rho / (4.0 * denom**1.5) * (1.0 + 0.75 * m)
+    small = m < 1e-2
+    # (1 - m/2) K - E = (pi m^2 / 32)(1 + 3m/4 + 75m^2/128 + 245m^3/512
+    # + 6615m^4/16384 + O(m^5)), so A_phi = I a^2 rho / (4 denom^{3/2}) times
+    # that bracket, to 3e-11 relative at m = 1e-2
+    series = current * a**2 * rho / (4.0 * denom**1.5) * (
+        1.0 + m * (0.75 + m * (75 / 128 + m * (245 / 512 + m * (6615 / 16384)))))
     ms = np.where(small | (m >= 1.0), 0.5, m)
     k = np.sqrt(ms)
     rho_safe = np.where(rho == 0.0, 1.0, rho)

@@ -88,6 +88,24 @@ def test_loop_a_phi_against_line_integral():
                                    rtol=1e-8, err_msg=f"rho={rho}, z={z}")
 
 
+def test_loop_a_phi_relative_accuracy_small_m():
+    # 50-digit oracle of the closed form over m in [1e-8, 0.9]; near the axis
+    # or far along it (small m) the bracket (1 - m/2) K - E cancels to
+    # pi m^2 / 32 in double precision
+    import mpmath
+
+    a, current, rho = 0.5, 1.0, 0.3
+    for m in np.geomspace(1e-8, 0.9, 60):
+        z = np.sqrt(4 * a * rho / m - (a + rho) ** 2)
+        with mpmath.workdps(50):
+            mm = 4 * mpmath.mpf(a) * rho / ((a + mpmath.mpf(rho)) ** 2 + mpmath.mpf(z) ** 2)
+            exact = float(current / (mpmath.pi * mpmath.sqrt(mm))
+                          * mpmath.sqrt(a / mpmath.mpf(rho))
+                          * ((1 - mm / 2) * mpmath.ellipk(mm) - mpmath.ellipe(mm)))
+        np.testing.assert_allclose(loop_a_phi(a, current, rho, z), exact,
+                                   rtol=1e-10, err_msg=f"m={m:.3g}")
+
+
 def test_loop_a_phi_axis_limit():
     assert loop_a_phi(0.7, 1.0, 0.0, 0.5) == 0.0
     small = loop_a_phi(0.7, 1.0, 1e-9, 0.5)
