@@ -195,11 +195,13 @@ class Phi1Result:
 
 
 def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidModel,
-         rho_max: float | None = None, n_phi: int = 16, spec: QuadratureSpec | None = None,
+         rho_max: float | None = None, n_phi: int = 16,
+         spec: QuadratureSpec | None = None,
          tail_tol: float | None = None) -> Phi1Result:
     """(1/2) Int d3x  Adot_el(x, T) . A_sol(x) over a truncated cylinder.
 
-    The domain is rho <= rho_max (default 8 R), |z| <= L/2 + 4 R; the tail estimate is the outer-half-shell contribution
+    The domain is rho <= rho_max (default 8 R), |z| <= L/2 + 4 R; the tail
+    estimate is the outer-half-shell contribution
     |I(rho_max) - I(rho_max / 2)|.  The start must be ramped
     (ramp_fraction > 0; see a_dot_electron); the self term Adot_el . A_el is
     not computed (identical for the two traverses).

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 from abtroika import cli, decoherence
 from abtroika.config import ConfigError, RunConfig
 from abtroika.cli import run
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SMALL = """
 # small, fast configuration for pipeline tests
@@ -202,8 +205,7 @@ def test_phases_stage_small(tmp_path):
     np.testing.assert_allclose(pr["phi2"], pr["phi21"] + pr["phi22"], rtol=1e-12)
     # the benchmark's reference report fixes the structure: no field, residual
     # or check may appear or vanish without recapturing it
-    ref_path = (pathlib.Path(__file__).resolve().parent.parent
-                / "perfbench" / "reference" / "phases-b01.json")
+    ref_path = ROOT / "perfbench" / "reference" / "phases-b01.json"
     ref = json.loads(ref_path.read_text())["report"]
     assert sorted(pr) == sorted(ref["phase_report"])
     assert (sorted(pr["identity_residuals"])
@@ -221,10 +223,12 @@ def test_phases_stage_builds_one_solenoid_table(table_builds):
 
 def test_console_entry_point(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\n")
+    # the child finds the package in src/, as pytest's own pythonpath does
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "abtroika.cli", "divergence", "--config", cfg,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "divergence_loglog_slope: pass" in proc.stdout
 
