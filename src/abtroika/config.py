@@ -67,6 +67,11 @@ class RunConfig:
             raise ConfigError("solenoid radius a must satisfy a < R")
         if self.solenoid not in ("loops", "ideal"):
             raise ConfigError("solenoid must be 'loops' or 'ideal'")
+        if self.flux == 0:
+            # the phase checks are relative to the shift e * flux
+            raise ConfigError("flux must be nonzero")
+        if self.rho_max_over_r <= 0:
+            raise ConfigError("rho_max_over_r must be positive")
         if not 0.0 < self.eta < 0.5:
             # the phases stage also runs phi1 at ramp fraction 2 eta, and the
             # radiated field needs a ramped start
@@ -78,6 +83,12 @@ class RunConfig:
                               f"on the cartesian grid), got {self.mode_grid_n}")
         if self.kmax_sigma < 4.0:
             raise ConfigError("kmax_sigma < 4 leaves the smearing scale unresolved")
+        if self.kmax_sigma_physical <= 0:
+            raise ConfigError("kmax_sigma_physical must be positive")
+        if not all(0 < b < 1 for b in self.sweep_beta):
+            raise ConfigError("sweep_beta entries must lie in (0, 1)")
+        if not all(lam > 0 for lam in self.sweep_lambda):
+            raise ConfigError("sweep_lambda entries must be positive")
         if self.quad_abs_tol <= 0 or self.quad_rel_tol <= 0:
             raise ConfigError("quadrature tolerances must be positive")
         eps = self.eps_sequence
@@ -94,9 +105,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def trajectory(self, sense: Sense = Sense.RIGHT) -> TrajectoryHalfCircle:
+    def trajectory(self) -> TrajectoryHalfCircle:
         try:
-            return TrajectoryHalfCircle(self.radius, self.beta, sense,
+            return TrajectoryHalfCircle(self.radius, self.beta, Sense.RIGHT,
                                         ramp_fraction=0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

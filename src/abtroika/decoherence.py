@@ -272,12 +272,6 @@ def _endpoint_factor(q, T):
     return np.where(small, T * (1.0 + 0.5j * q * T), out)
 
 
-def _smear_sq(qz, sigma):
-    x = qz * sigma / 2.0
-    xs = np.where(np.abs(x) < 1e-12, 1.0, x)
-    return np.where(np.abs(x) < 1e-12, 1.0 - x**2 / 3, (np.sin(xs) / xs) ** 2)
-
-
 def _bessel_square_sums(x, c):
     """Sum_m c[..., m] J_m(x)^2 over the orders m = 0 .. top of c.
 
@@ -337,9 +331,9 @@ def a_current_current(beta: float, lam: float,
     if lam <= 0:
         raise ValueError("the current-current integral needs lam > 0")
     T = np.pi / beta
-    sigma = lam
+    smear = SmearingProfile(SmearKind.LINE_Z, lam)
     if k_max is None:
-        k_max = 40.0 / sigma
+        k_max = 40.0 / lam
     xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
     nseg = int(np.ceil(k_max))
     xmu, wmu = np.polynomial.legendre.leggauss(n_mu)
@@ -365,7 +359,7 @@ def a_current_current(beta: float, lam: float,
         c[..., 1:] += tn
         c[..., 1] += tn[..., 0]
         sums = _bessel_square_sums(ks[:, None] * sin_mu, c)
-        seg = (sums * _smear_sq(ks[:, None] * mu, sigma)) @ wmu @ (kw * ks)
+        seg = (sums * smear.fourier_factor(ks[:, None] * mu) ** 2) @ wmu @ (kw * ks)
         if not np.all(np.isfinite(seg)):
             raise QuadratureError(
                 f"current-current Bessel sum is not finite at beta = {beta:g}, "

@@ -164,6 +164,15 @@ class SmearingProfile:
         if self.kind is SmearKind.LINE_Z and self.sigma <= 0.0:
             raise ValueError("LINE_Z smearing requires sigma > 0")
 
+    def fourier_factor(self, kz: np.ndarray) -> np.ndarray:
+        """Fourier factor S(k_z) of the profile: 1 for POINT, sin(x) / x with
+        x = k_z sigma / 2 for the centred line (real)."""
+        if self.kind is SmearKind.POINT:
+            return np.ones_like(kz)
+        x = kz * self.sigma / 2.0
+        xs = np.where(np.abs(x) < 1e-30, 1.0, x)
+        return np.where(np.abs(x) < 1e-30, 1.0, np.sin(xs) / xs)
+
     def offsets_weights(self, n: int = 16):
         """Gauss-Legendre nodes/weights for the line parameter (unit total weight)."""
         if self.kind is SmearKind.POINT:

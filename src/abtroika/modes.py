@@ -20,11 +20,10 @@ only that choice (zero squeezing) is supported.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import SmearingProfile, SmearKind, TrajectoryHalfCircle
+from .geometry import SmearingProfile, TrajectoryHalfCircle
 
 __all__ = [
     "ModeGrid",
@@ -64,19 +63,17 @@ def _fft_keep_mask(n: int) -> np.ndarray:
 class ModeGrid:
     """Discrete set of k-points with weights approximating Int d3k.
 
-    Grids exclude k = 0.  kind is one of "cartesian" (midpoint cube),
-    "spherical" (Gauss radial x Gauss polar x uniform azimuth; resolves fine
-    radial oscillations cheaply) and "fft" (discrete-transform pair with a
-    real-space cube, for functional-overlap checks); these are symmetric
-    under k -> -k, and neg_index maps each point to its partner.  fold_kz
-    keeps the k_z > 0 half of a grid with doubled weights; a folded grid is
-    not negation-symmetric, so neg_index raises on it.
+    Grids exclude k = 0.  cartesian (midpoint cube), spherical (Gauss radial
+    x Gauss polar x uniform azimuth; resolves fine radial oscillations
+    cheaply) and fft_pair (discrete-transform pair with a real-space cube of
+    fft_n^3 points and side box_length, for functional-overlap checks) are
+    symmetric under k -> -k.  fold_kz keeps the k_z > 0 half of a grid with
+    doubled weights.
     """
 
     k_points: np.ndarray
     weights: np.ndarray
-    kind: str = "cartesian"
-    fft_shape: tuple | None = None
+    fft_n: int | None = None
     box_length: float | None = None
 
     def __post_init__(self):
@@ -93,43 +90,24 @@ class ModeGrid:
     def n_modes(self) -> int:
         return len(self.weights)
 
-    def neg_index(self) -> np.ndarray:
-        """Index of the k -> -k partner of every mode (read-only, computed
-        once per grid)."""
-        return self._neg_index
-
-    @cached_property
-    def _neg_index(self) -> np.ndarray:
-        try:
-            idx = self._mirror_index((-1, -1, -1))
-        except KeyError as exc:
-            raise ValueError("grid is not symmetric under k -> -k") from exc
-        idx.flags.writeable = False
-        return idx
-
-    def _key(self) -> np.ndarray:
-        return np.round(self.k_points / (np.abs(self.k_points).max() * 1e-12)).astype(np.int64)
-
-    def _mirror_index(self, flip) -> np.ndarray:
-        """Index of the partner k * flip of every mode (KeyError if missing)."""
-        key = self._key()
-        lookup = {tuple(row): i for i, row in enumerate(key)}
-        return np.array([lookup[tuple(row * flip)] for row in key])
-
     def fold_kz(self) -> "ModeGrid":
         """The k_z > 0 half of a k_z-mirror-symmetric grid, weights doubled:
         it carries every sum of amplitudes even in k_z.  Raises on a k_z = 0
         plane or a missing mirror point."""
-        if np.any(self._key()[:, 2] == 0):
+        key = np.round(self.k_points / (np.abs(self.k_points).max() * 1e-12))
+        key = key.astype(np.int64)
+        if np.any(key[:, 2] == 0):
             raise ValueError("a grid with a k_z = 0 plane cannot be folded")
+        rows = [tuple(row) for row in key.tolist()]
+        lookup = {row: i for i, row in enumerate(rows)}
         try:
-            mirror = self._mirror_index((1, 1, -1))
+            mirror = np.array([lookup[(kx, ky, -kz)] for kx, ky, kz in rows])
         except KeyError as exc:
             raise ValueError("grid is not symmetric under k_z -> -k_z") from exc
         if not np.allclose(self.weights[mirror], self.weights, rtol=1e-12, atol=0):
             raise ValueError("mode weights are not symmetric under k_z -> -k_z")
         up = self.k_points[:, 2] > 0
-        return ModeGrid(self.k_points[up], 2.0 * self.weights[up], kind=self.kind)
+        return ModeGrid(self.k_points[up], 2.0 * self.weights[up])
 
     @classmethod
     def cartesian(cls, n: int, k_max: float) -> "ModeGrid":
@@ -139,7 +117,7 @@ class ModeGrid:
         ax = (np.arange(n) - (n - 1) / 2) * dk
         kx, ky, kz = np.meshgrid(ax, ax, ax, indexing="ij")
         pts = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=-1)
-        return cls(pts, np.full(len(pts), dk**3), kind="cartesian")
+        return cls(pts, np.full(len(pts), dk**3))
 
     @classmethod
     def spherical(cls, k_max: float, n_r: int, n_mu: int = 8, n_phi: int = 8,
@@ -171,7 +149,7 @@ class ModeGrid:
                         (R * st * np.sin(PH)).ravel(),
                         (R * MU).ravel()], axis=-1)
         w = (WR * WMU * wphi * R**2).ravel()
-        return cls(pts, w, kind="spherical")
+        return cls(pts, w)
 
     @classmethod
     def fft_pair(cls, n: int, box_length: float) -> "ModeGrid":
@@ -186,8 +164,8 @@ class ModeGrid:
         pts = np.stack([kx.ravel(), ky.ravel(), kz.ravel()], axis=-1)
         keep = _fft_keep_mask(n)
         dk = 2 * np.pi / box_length
-        return cls(pts[keep], np.full(keep.sum(), dk**3), kind="fft",
-                   fft_shape=(n, n, n), box_length=box_length)
+        return cls(pts[keep], np.full(keep.sum(), dk**3), fft_n=n,
+                   box_length=box_length)
 
 
 @dataclass(frozen=True)
@@ -217,15 +195,6 @@ def _polarizations(drive) -> int:
     return drive(np.empty(0)).shape[2]
 
 
-def _smear_factor(smear: SmearingProfile, kz: np.ndarray) -> np.ndarray:
-    """Fourier factor of the charge profile (real for the centred line)."""
-    if smear.kind is SmearKind.POINT:
-        return np.ones_like(kz)
-    x = kz * smear.sigma / 2.0
-    xs = np.where(np.abs(x) < 1e-30, 1.0, x)
-    return np.where(np.abs(x) < 1e-30, 1.0, np.sin(xs) / xs)
-
-
 def electron_drive(traj: TrajectoryHalfCircle, smear: SmearingProfile,
                    grid: ModeGrid):
     """Fourier transform of the traverse current: callable ts -> (len(ts), n, 2).
@@ -236,7 +205,7 @@ def electron_drive(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     plane z = 0, which also makes Jt even in k_z.  The trajectory and the
     exponential are evaluated only at the times inside the support.
     """
-    pS = (2 * np.pi) ** (-1.5) * traj.charge * _smear_factor(smear, grid.k_points[:, 2])
+    pS = (2 * np.pi) ** (-1.5) * traj.charge * smear.fourier_factor(grid.k_points[:, 2])
     kT = grid.k_points.T.copy()
     T = traj.traverse_time
     # a few-ulp tolerance so integrator stages that land on T by rounding
@@ -460,32 +429,37 @@ def overlap_coherent(state_l: ModeState, state_r: ModeState) -> complex:
     return complex(np.exp(inner + state_r.c_phase + np.conj(state_l.c_phase)))
 
 
+def _forward(grid: ModeGrid, field: np.ndarray) -> np.ndarray:
+    """(2 pi)^{-3/2} Int d3x f(x) e^{-i k.x} on the kept modes: a real field
+    of shape (n, n, n, p) on the fft cube to shape (n_modes, p)."""
+    n = grid.fft_n
+    fac = (grid.box_length / n) ** 3 / (2 * np.pi) ** 1.5
+    return np.fft.fftn(field, axes=(0, 1, 2)).reshape(n**3, -1)[_fft_keep_mask(n)] * fac
+
+
+def _inverse_real(grid: ModeGrid, modes: np.ndarray) -> np.ndarray:
+    """2 Re[(2 pi)^{-3/2} Sum_k w f(k) e^{i k.x}] on the fft cube: the real
+    field whose transform is f(k) + f(-k)*, shape (n, n, n, p)."""
+    n = grid.fft_n
+    full = np.zeros((n**3, modes.shape[1]), complex)
+    full[_fft_keep_mask(n)] = modes
+    fac = 2 * (2 * np.pi / grid.box_length) ** 3 * n**3 / (2 * np.pi) ** 1.5
+    return np.fft.ifftn(full.reshape(n, n, n, -1), axes=(0, 1, 2)).real * fac
+
+
 def _fields_from_state(state: ModeState):
-    """Real-space A and Adot on the fft cube (requires an fft-pair grid)."""
+    """Real-space A and Adot on the fft cube (requires an fft-pair grid).
+
+    The reality condition At(-k) = At(k)* makes each field twice the real
+    part of its one-sided mode sum: A from alpha / sqrt(2 omega), Adot from
+    -i sqrt(omega / 2) alpha.
+    """
     grid = state.grid
-    if grid.kind != "fft":
+    if grid.fft_n is None:
         raise ValueError("field reconstruction needs an fft-pair ModeGrid")
-    n = grid.fft_shape[0]
-    p = state.alpha.shape[1]
-    L = grid.box_length
-    neg = grid.neg_index()
-    om = grid.omega
-    At = (state.alpha + np.conj(state.alpha[neg])) / np.sqrt(2 * om)[:, None]
-    Vt = -1j * np.sqrt(om / 2)[:, None] * (state.alpha - np.conj(state.alpha[neg]))
-    keep = _fft_keep_mask(n)
-    dk = 2 * np.pi / L
-    A = np.zeros((n**3, p))
-    V = np.zeros((n**3, p))
-    # inverse transform: A(x) = (2 pi)^{-3/2} Sum_k w At(k) e^{i k.x}
-    full_At = np.zeros((n**3, p), complex)
-    full_Vt = np.zeros((n**3, p), complex)
-    full_At[keep] = At
-    full_Vt[keep] = Vt
-    fac = dk**3 * n**3 / (2 * np.pi) ** 1.5
-    for i in range(p):
-        A[:, i] = np.fft.ifftn(full_At[:, i].reshape(n, n, n)).real.ravel() * fac
-        V[:, i] = np.fft.ifftn(full_Vt[:, i].reshape(n, n, n)).real.ravel() * fac
-    return A.reshape(n, n, n, p), V.reshape(n, n, n, p)
+    om = grid.omega[:, None]
+    return (_inverse_real(grid, state.alpha / np.sqrt(2 * om)),
+            _inverse_real(grid, -1j * np.sqrt(om / 2) * state.alpha))
 
 
 def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray) -> ModeState:
@@ -494,27 +468,18 @@ def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray) -> ModeSt
     alpha(k) = sqrt(omega/2) At(k) + (i/sqrt(2 omega)) Vt(k); the phase c is
     fixed to -(1/2) Sum w |alpha|^2.
     """
-    if grid.kind != "fft":
+    if grid.fft_n is None:
         raise ValueError("state_from_fields needs an fft-pair ModeGrid")
-    n = grid.fft_shape[0]
-    L = grid.box_length
-    dx3 = (L / n) ** 3
-    keep = _fft_keep_mask(n)
-    At = np.empty((grid.n_modes, 3), complex)
-    Vt = np.empty((grid.n_modes, 3), complex)
-    fac = dx3 / (2 * np.pi) ** 1.5
-    for i in range(3):
-        At[:, i] = np.fft.fftn(A[..., i]).ravel()[keep] * fac
-        Vt[:, i] = np.fft.fftn(Adot[..., i]).ravel()[keep] * fac
     om = grid.omega
-    alpha = np.sqrt(om / 2)[:, None] * At + 1j / np.sqrt(2 * om)[:, None] * Vt
+    alpha = (np.sqrt(om / 2)[:, None] * _forward(grid, A)
+             + 1j / np.sqrt(2 * om)[:, None] * _forward(grid, Adot))
     c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)
     return ModeState(grid, alpha, complex(c), 0.0)
 
 
 def random_smooth_state(grid: ModeGrid, rng, corr: float = 0.35) -> ModeState:
     """Random smooth real field configuration as a coherent state (test aid)."""
-    n = grid.fft_shape[0]
+    n = grid.fft_n
     L = grid.box_length
     x = np.arange(n) * (L / n)
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
@@ -545,28 +510,19 @@ def overlap_gaussian_check(state_l: ModeState, state_r: ModeState):
     against FFT reconstruction and real-space sums).
     """
     grid = state_l.grid
-    if grid.kind != "fft":
+    if grid.fft_n is None:
         raise ValueError("overlap_gaussian_check needs an fft-pair ModeGrid")
     lhs = overlap_coherent(state_l, state_r)
 
     Al, Vl = _fields_from_state(state_l)
     Ar, Vr = _fields_from_state(state_r)
-    n = grid.fft_shape[0]
-    L = grid.box_length
-    dx3 = (L / n) ** 3
+    dx3 = (grid.box_length / grid.fft_n) ** 3
     dA = Ar - Al
     dV = Vr - Vl
     # quadratic forms through the kernel omega/2 and its inverse 2/omega
-    keep = _fft_keep_mask(n)
-    om = grid.omega
-    fac = dx3 / (2 * np.pi) ** 1.5
-    qa = 0.0
-    qv = 0.0
-    for i in range(dA.shape[-1]):
-        dAt = np.fft.fftn(dA[..., i]).ravel()[keep] * fac
-        dVt = np.fft.fftn(dV[..., i]).ravel()[keep] * fac
-        qa += np.sum(grid.weights * (om / 2) * np.abs(dAt) ** 2)
-        qv += np.sum(grid.weights * (2 / om) * np.abs(dVt) ** 2)
+    w, om = grid.weights[:, None], grid.omega[:, None]
+    qa = np.sum(w * (om / 2) * np.abs(_forward(grid, dA)) ** 2)
+    qv = np.sum(w * (2 / om) * np.abs(_forward(grid, dV)) ** 2)
     cross = -0.5 * dx3 * np.sum((Vr + Vl) * dA)
     single = 0.5 * dx3 * (np.sum(Vr * Ar) - np.sum(Vl * Al))
     # current-phase parts of c enter both forms identically

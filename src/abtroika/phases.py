@@ -29,7 +29,7 @@ from .geometry import (
     SolenoidModel,
     TrajectoryHalfCircle,
 )
-from .quadrature import QuadratureError, QuadratureSpec, adaptive_nd
+from .quadrature import QuadratureSpec, adaptive_nd
 
 __all__ = [
     "PhaseReport",
@@ -191,13 +191,11 @@ class Phi1Result:
     value: float
     tail_estimate: float
     quad_error: float
-    rho_max: float
 
 
 def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidModel,
          rho_max: float | None = None, n_phi: int = 16,
-         spec: QuadratureSpec | None = None,
-         tail_tol: float | None = None) -> Phi1Result:
+         spec: QuadratureSpec | None = None) -> Phi1Result:
     """(1/2) Int d3x  Adot_el(x, T) . A_sol(x) over a truncated cylinder.
 
     The domain is rho <= rho_max (default 8 R), |z| <= L/2 + 4 R; the tail
@@ -225,13 +223,8 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     inner, err_in = cylinder_integral(f_cart, (1e-9, rho_max / 2), z_max, n_phi, spec)
     outer, err_out = cylinder_integral(f_cart, (rho_max / 2, rho_max), z_max, n_phi, spec)
     value = 0.5 * (inner + outer)
-    tail = 0.5 * abs(outer)
-    if tail_tol is not None and tail > tail_tol:
-        raise QuadratureError(
-            f"phi1 volume-truncation tail estimate {tail:.3e} exceeds {tail_tol:.3e}",
-            estimate=value, error=tail)
-    return Phi1Result(value=value, tail_estimate=tail,
-                      quad_error=0.5 * (err_in + err_out), rho_max=rho_max)
+    return Phi1Result(value=value, tail_estimate=0.5 * abs(outer),
+                      quad_error=0.5 * (err_in + err_out))
 
 
 def interference_probability(phase: float, a: float):

@@ -77,6 +77,21 @@ def test_invalid_eta_exit_2_without_report(tmp_path, capsys, eta):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("flux = 0", "flux"),
+    ("rho_max_over_r = 0", "rho_max_over_r"),
+    ("sweep_beta = 0.1, 1.5", "sweep_beta"),
+    ("sweep_lambda = 1.0, -1", "sweep_lambda"),
+    ("kmax_sigma_physical = 0", "kmax_sigma_physical"),
+])
+def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
+    cfg = write(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert run("all", cfg, str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_unknown_subcommand_exit_2(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\n")
     assert run("bogus", cfg, str(tmp_path)) == 2
@@ -182,6 +197,13 @@ def test_modes_stage_small(tmp_path):
     assert set(snapshot[:, 3]) == {0.0, 1.0}
     dk = 2 * 6.0 / 4
     np.testing.assert_allclose(snapshot[:, 6], 2 * dk**3, rtol=1e-15)
+    # the benchmark's reference report fixes the structure: no residual,
+    # check or config key may appear or vanish without recapturing it
+    ref_path = ROOT / "perfbench" / "reference" / "modes-n6.json"
+    ref = json.loads(ref_path.read_text())["report"]
+    assert sorted(mc) == sorted(ref["mode_checks"])
+    assert sorted(rep["checks"]) == sorted(ref["checks"])
+    assert sorted(rep["provenance"]["config"]) == sorted(ref["provenance"]["config"])
 
 
 def test_odd_mode_grid_exit_2(tmp_path, capsys):

@@ -173,7 +173,7 @@ def _a_current_current_per_order(beta, lam, fine_structure, k_max, n_mu=96,
         lo, hi = s * k_max / nseg, (s + 1) * k_max / nseg
         for k, wk in zip(0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg):
             kperp = k * np.sqrt(1.0 - mu**2)
-            S2 = decoherence._smear_sq(k * mu, lam)
+            S2 = SmearingProfile(SmearKind.LINE_Z, lam).fourier_factor(k * mu) ** 2
             nmax = int(k + n_extra)
             n = np.arange(-nmax, nmax + 1)
             JJ = (jv(n[None, :] - 1, kperp[:, None]) ** 2

@@ -3,6 +3,8 @@ import pytest
 
 from abtroika.geometry import (
     Sense,
+    SmearingProfile,
+    SmearKind,
     SolenoidKind,
     SolenoidModel,
     TrajectoryHalfCircle,
@@ -103,3 +105,13 @@ def test_solenoid_validation():
         SolenoidModel(solenoid_radius=-1.0, flux=1.0)
     with pytest.raises(ValueError):
         SolenoidModel(solenoid_radius=0.5, flux=1.0, n_loops=1)
+
+
+def test_smearing_fourier_factor():
+    kz = np.array([-3.0, -1e-40, 0.0, 1e-40, 0.5, 2 * np.pi, 7.0])
+    np.testing.assert_array_equal(SmearingProfile().fourier_factor(kz), np.ones(7))
+    # the centred line of extent sigma: sin(x) / x with x = k_z sigma / 2
+    sigma = 2.0
+    got = SmearingProfile(SmearKind.LINE_Z, sigma).fourier_factor(kz)
+    np.testing.assert_allclose(got, np.sinc(kz * sigma / (2 * np.pi)), rtol=1e-14, atol=1e-16)
+    assert got[1] == got[2] == got[3] == 1.0

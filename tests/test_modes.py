@@ -9,8 +9,9 @@ from abtroika.modes import (
     _GL8,
     ModeGrid,
     ModeState,
+    _fft_keep_mask,
+    _fields_from_state,
     _rk4_chunk,
-    _smear_factor,
     _time_segments,
     analytic_mode,
     b_relation_residual,
@@ -37,18 +38,26 @@ def small_traj(beta=0.3):
 
 # -------------------------------------------------------------------- grids
 
+def _assert_negation_symmetric(g, atol):
+    """The points -k are the points k: both sets lexsorted on keys rounded
+    to 1e-9, then compared at atol."""
+    def ordered(pts):
+        return pts[np.lexsort(np.round(pts, 9).T)]
+
+    np.testing.assert_allclose(ordered(-g.k_points), ordered(g.k_points),
+                               rtol=0, atol=atol)
+
+
 def test_cartesian_grid_symmetric_no_zero():
     g = ModeGrid.cartesian(8, 4.0)
     assert g.n_modes == 512
     assert g.omega.min() > 0
-    neg = g.neg_index()
-    np.testing.assert_allclose(g.k_points[neg], -g.k_points, atol=0)
+    _assert_negation_symmetric(g, atol=0)
 
 
 def test_spherical_grid_symmetric():
     g = ModeGrid.spherical(6.0, n_r=16, n_mu=6, n_phi=8)
-    neg = g.neg_index()
-    np.testing.assert_allclose(g.k_points[neg], -g.k_points, atol=1e-12)
+    _assert_negation_symmetric(g, atol=1e-12)
     # weights integrate d3k over the ball to a decent accuracy
     vol = g.weights.sum()
     np.testing.assert_allclose(vol, 4 / 3 * np.pi * 6.0**3, rtol=1e-6)
@@ -57,17 +66,7 @@ def test_spherical_grid_symmetric():
 def test_fft_grid_pairing():
     g = ModeGrid.fft_pair(8, 6.0)
     assert g.n_modes == 7**3 - 1  # paired band only: Nyquist rows and k=0 dropped
-    neg = g.neg_index()
-    np.testing.assert_allclose(g.k_points[neg], -g.k_points, atol=1e-12)
-
-
-def test_neg_index_computed_once():
-    g = ModeGrid.fft_pair(8, 6.0)
-    first = g.neg_index()
-    # the same read-only array comes back: nothing is recomputed
-    assert g.neg_index() is first
-    assert not first.flags.writeable
-    np.testing.assert_array_equal(first, ModeGrid.fft_pair(8, 6.0).neg_index())
+    _assert_negation_symmetric(g, atol=1e-12)
 
 
 # ---------------------------------------------------------------- evolution
@@ -136,14 +135,48 @@ def test_analytic_alpha_zero_at_start():
     assert np.allclose(st.alpha, 0.0)
 
 
-def test_reconstructed_field_modes_conjugate_symmetric():
-    tr = small_traj(0.3)
-    g = ModeGrid.cartesian(4, 2.0)
-    st = analytic_mode(tr, LINE, g, 0.6 * tr.traverse_time)
-    neg = g.neg_index()
+def _neg_index(grid):
+    """Index of the k -> -k partner of every mode, by a lookup on rounded keys."""
+    key = np.round(grid.k_points / (np.abs(grid.k_points).max() * 1e-12)).astype(np.int64)
+    lookup = {tuple(row): i for i, row in enumerate(key)}
+    return np.array([lookup[tuple(-row)] for row in key])
+
+
+def _fields_oracle(state):
+    """Real A and Adot on the fft cube from the conjugate-symmetrised modes
+    At = (alpha(k) + alpha(-k)*) / sqrt(2 omega) and
+    Vt = -i sqrt(omega / 2) (alpha(k) - alpha(-k)*), one inverse transform
+    per polarization."""
+    g = state.grid
+    n, p = g.fft_n, state.alpha.shape[1]
+    neg = _neg_index(g)
     om = g.omega[:, None]
-    At = (st.alpha + np.conj(st.alpha[neg])) / np.sqrt(2 * om)
-    np.testing.assert_allclose(At[neg], np.conj(At), atol=1e-12)
+    At = (state.alpha + np.conj(state.alpha[neg])) / np.sqrt(2 * om)
+    Vt = -1j * np.sqrt(om / 2) * (state.alpha - np.conj(state.alpha[neg]))
+    keep = _fft_keep_mask(n)
+    fac = (2 * np.pi / g.box_length) ** 3 * n**3 / (2 * np.pi) ** 1.5
+    fields = []
+    for modes in (At, Vt):
+        full = np.zeros((n**3, p), complex)
+        full[keep] = modes
+        out = np.empty((n, n, n, p))
+        for i in range(p):
+            out[..., i] = np.fft.ifftn(full[:, i].reshape(n, n, n)).real * fac
+        fields.append(out)
+    return fields
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fields_from_state_match_symmetrised_transform(p):
+    # the one-sided sum 2 Re[...] equals the field built from the explicitly
+    # conjugate-symmetrised mode functions
+    g = ModeGrid.fft_pair(8, 6.0)
+    rng = np.random.default_rng(7)
+    alpha = rng.normal(size=(g.n_modes, p)) + 1j * rng.normal(size=(g.n_modes, p))
+    st = ModeState(g, alpha, 0j, 0.0)
+    for field, want in zip(_fields_from_state(st), _fields_oracle(st)):
+        assert field.shape == (8, 8, 8, p)
+        assert _rel(field, want) <= 1e-13
 
 
 # ------------------------------------------------------------ photon number
@@ -192,7 +225,7 @@ def test_photon_number_continuous_across_switch_off():
 def _drive_oracle(traj, smear, grid):
     """Traverse current one time at a time: t -> (n_modes, 3)."""
     pref = (2 * np.pi) ** (-1.5) * traj.charge
-    S = _smear_factor(smear, grid.k_points[:, 2])
+    S = smear.fourier_factor(grid.k_points[:, 2])
     T = traj.traverse_time
 
     def drive(t):
@@ -414,7 +447,7 @@ def test_quadratures_match_nested_loop_oracles(n):
 
 def _drive3_oracle(traj, smear, grid):
     """The batched traverse drive with all three current components."""
-    pS = (2 * np.pi) ** (-1.5) * traj.charge * _smear_factor(smear, grid.k_points[:, 2])
+    pS = (2 * np.pi) ** (-1.5) * traj.charge * smear.fourier_factor(grid.k_points[:, 2])
     kT = grid.k_points.T.copy()
     T = traj.traverse_time
 
@@ -498,9 +531,6 @@ def test_fold_kz_rejects_grids_without_the_mirror():
         ModeGrid(g.k_points, w).fold_kz()
     with pytest.raises(ValueError, match="k_z = 0"):
         ModeGrid.fft_pair(8, 6.0).fold_kz()
-    # the half-grid has no k -> -k partners
-    with pytest.raises(ValueError, match="k -> -k"):
-        g.fold_kz().neg_index()
 
 
 def test_fold_kz_spherical_keeps_the_volume():

@@ -20,7 +20,6 @@ from abtroika.phases import (
     phi22,
     phi_ab_loop,
 )
-from abtroika.quadrature import QuadratureError
 
 IDEAL = SolenoidModel(0.5, 1.0, SolenoidKind.IDEAL_INFINITE)
 LOOPS = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=200, length=20.0)
@@ -128,13 +127,6 @@ def test_phi1_small_against_phi21_nonrelativistic():
     tr = traj(beta=0.05, eta=0.01)
     res = phi1(tr, POINT, LOOPS)
     assert abs(res.value) <= 0.02 * abs(phi21(tr, LOOPS))
-
-
-def test_phi1_tail_tolerance_error():
-    tr = traj(beta=0.05, eta=0.01)
-    with pytest.raises(QuadratureError) as exc:
-        phi1(tr, POINT, LOOPS, tail_tol=1e-30)
-    assert exc.value.estimate is not None
 
 
 # ------------------------------------------------------------------ identity
