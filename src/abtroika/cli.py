@@ -241,27 +241,21 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
     checks = []
     timestamps = {"started": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                   "wall_clock_s": {}}
-    plan = {
-        "phases": ["phases"],
-        "decoherence": ["decoherence"],
-        "modes": ["modes"],
-        "divergence": ["divergence"],
-        "all": ["phases", "decoherence", "modes", "divergence"],
-    }.get(subcommand)
-    if plan is None:
+    # built per run, so that the stage functions are looked up on the module
+    # when they run: a wrapper installed on cli.stage_* takes effect
+    table = {
+        "phases": lambda: stage_phases(cfg),
+        "decoherence": lambda: stage_decoherence(cfg, out, jobs),
+        "modes": lambda: stage_modes(cfg, out),
+        "divergence": lambda: stage_divergence(cfg, out),
+    }
+    if subcommand not in (*table, "all"):
         print(f"unknown subcommand '{subcommand}'", file=sys.stderr)
         return 2
-    for name in plan:
+    for name in table if subcommand == "all" else [subcommand]:
         t0 = time.monotonic()
         try:
-            if name == "phases":
-                payload, cks = stage_phases(cfg)
-            elif name == "decoherence":
-                payload, cks = stage_decoherence(cfg, out, jobs)
-            elif name == "modes":
-                payload, cks = stage_modes(cfg, out)
-            else:
-                payload, cks = stage_divergence(cfg, out)
+            payload, cks = table[name]()
         except ConfigError as exc:
             print(f"config error in stage '{name}': {exc}", file=sys.stderr)
             return 2

@@ -60,9 +60,12 @@ class RunConfig:
 
     def __post_init__(self):
         # type invariants of every module fire here, before any computation
-        self.couplings()
-        self.trajectory()
-        model = self.solenoid_model()
+        try:
+            self.couplings()
+            self.trajectory()
+            model = self.solenoid_model()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if model.solenoid_radius >= self.radius:
             raise ConfigError("solenoid radius a must satisfy a < R")
         if self.solenoid not in ("loops", "ideal"):
@@ -91,6 +94,8 @@ class RunConfig:
             raise ConfigError("sweep_lambda entries must be positive")
         if self.quad_abs_tol <= 0 or self.quad_rel_tol <= 0:
             raise ConfigError("quadrature tolerances must be positive")
+        if self.max_subdivisions < 1:
+            raise ConfigError("max_subdivisions must be >= 1")
         eps = self.eps_sequence
         if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_sequence must be strictly decreasing, length >= 3")
@@ -99,28 +104,19 @@ class RunConfig:
 
     # -- domain objects -----------------------------------------------------
     def couplings(self) -> UnitsAndCouplings:
-        try:
-            return UnitsAndCouplings(beta=self.beta, lam=self.lam,
-                                     fine_structure=self.fine_structure)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return UnitsAndCouplings(beta=self.beta, lam=self.lam,
+                                 fine_structure=self.fine_structure)
 
     def trajectory(self) -> TrajectoryHalfCircle:
-        try:
-            return TrajectoryHalfCircle(self.radius, self.beta, Sense.RIGHT,
-                                        ramp_fraction=0.0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return TrajectoryHalfCircle(self.radius, self.beta, Sense.RIGHT,
+                                    ramp_fraction=0.0)
 
     def solenoid_model(self) -> SolenoidModel:
         kind = SolenoidKind.FINITE_LOOPS if self.solenoid == "loops" \
             else SolenoidKind.IDEAL_INFINITE
-        try:
-            return SolenoidModel(self.a_over_r * self.radius, self.flux, kind,
-                                 n_loops=self.n_loops,
-                                 length=self.length_over_r * self.radius)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SolenoidModel(self.a_over_r * self.radius, self.flux, kind,
+                             n_loops=self.n_loops,
+                             length=self.length_over_r * self.radius)
 
     def smearing(self) -> SmearingProfile:
         return SmearingProfile(SmearKind.LINE_Z, self.lam * self.radius)

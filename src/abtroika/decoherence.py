@@ -192,8 +192,7 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
     return fine_structure / lam**2 * value
 
 
-def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
-               n_z: int = 40):
+def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036):
     """Reduced cross term of the overlap exponent (line-smeared).
 
     a2 = (e^2 beta^2 / 4 pi^2) * 2 Int_0^1 dz (1-z) Int_0^2 dtau+
@@ -204,7 +203,7 @@ def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
     coinciding traverse endpoints is log-divergent); setting lam = 0 is
     rejected.  Matches the physical cross term of the current-current
     integral to a couple of percent.  Returns (value, error), the error
-    from halving the z and tau+ resolution.
+    from halving the 40-node z rule and coarsening the tau+ panels.
     """
     if lam <= 0:
         raise ValueError("a2_smeared requires lam > 0 (endpoint corners diverge)")
@@ -232,8 +231,8 @@ def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
         return sum(wj * (1 - zj) * tau_plus_integral(zj, n_panel)
                    for zj, wj in zip(z, wz))
 
-    coarse = z_integral(n_z // 2, 30)
-    fine = z_integral(n_z, 44)
+    coarse = z_integral(20, 30)
+    fine = z_integral(40, 44)
     pref = fine_structure * beta**2 / (4 * np.pi**2) * 2.0
     return pref * fine, abs(pref * (fine - coarse))
 

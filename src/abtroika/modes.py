@@ -477,7 +477,7 @@ def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray) -> ModeSt
     return ModeState(grid, alpha, complex(c), 0.0)
 
 
-def random_smooth_state(grid: ModeGrid, rng, corr: float = 0.35) -> ModeState:
+def random_smooth_state(grid: ModeGrid, rng) -> ModeState:
     """Random smooth real field configuration as a coherent state (test aid)."""
     n = grid.fft_n
     L = grid.box_length
@@ -491,7 +491,7 @@ def random_smooth_state(grid: ModeGrid, rng, corr: float = 0.35) -> ModeState:
             acc = np.zeros((n, n, n))
             for _ in range(4):
                 m = rng.integers(-2, 3, 3)
-                amp = rng.normal() * corr
+                amp = rng.normal() * 0.35
                 ph = rng.uniform(0, 2 * np.pi)
                 acc += amp * np.cos(kbase * (m[0] * X + m[1] * Y + m[2] * Z) + ph)
             fld[..., i] = acc - acc.mean()

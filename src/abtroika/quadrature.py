@@ -10,7 +10,6 @@ its integrand one scalar at a time.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +93,11 @@ _L5 = np.sqrt(9.0 / 19.0)
 
 
 def _gm_rule(d: int):
-    """Unit-cube [-1,1]^d points (npts, d) and the two weight vectors."""
+    """Unit-cube [-1,1]^d points (npts, d) and the two weight vectors; point
+    0 is the center, points 1+4i..4+4i lie on axis i at +L2, -L2, +L3, -L3."""
     pts = [np.zeros(d)]
     w7 = [2**d * (12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0]
     w5 = [2**d * (729.0 - 950.0 * d + 50.0 * d * d) / 729.0]
-    axis_pairs = []
     for i in range(d):
         for lam, ww7, ww5 in ((_L2, 2**d * 980.0 / 6561.0, 2**d * 245.0 / 486.0),
                               (_L3, 2**d * (1820.0 - 400.0 * d) / 19683.0,
@@ -109,7 +108,6 @@ def _gm_rule(d: int):
                 pts.append(p)
                 w7.append(ww7)
                 w5.append(ww5)
-        axis_pairs.append(i)
     for i in range(d):
         for j in range(i + 1, d):
             for si in (+1, -1):
@@ -140,18 +138,13 @@ def _gm_eval(f, centers, halfw, d):
     volfac = np.prod(halfw, axis=1)
     i7 = volfac * (vals @ w7)
     i5 = volfac * (vals @ w5)
-    err = np.abs(i7 - i5)
     # split along the axis with the largest scaled fourth difference
-    f0 = vals[:, 0]
-    ratio = _L2**2 / _L3**2
-    diffs = np.empty((nbox, d))
-    for i in range(d):
-        base = 1 + 4 * i
-        d2 = vals[:, base] + vals[:, base + 1] - 2 * f0
-        d3 = vals[:, base + 2] + vals[:, base + 3] - 2 * f0
-        diffs[:, i] = np.abs(d2 - ratio * d3)
-    axes = np.argmax(diffs, axis=1)
-    return i7, err, axes
+    f0 = vals[:, :1]
+    axis_vals = vals[:, 1:1 + 4 * d].reshape(nbox, d, 4)
+    d2 = axis_vals[..., 0] + axis_vals[..., 1] - 2 * f0
+    d3 = axis_vals[..., 2] + axis_vals[..., 3] - 2 * f0
+    axes = np.argmax(np.abs(d2 - _L2**2 / _L3**2 * d3), axis=1)
+    return i7, np.abs(i7 - i5), axes
 
 
 def adaptive_nd(f, box, spec: QuadratureSpec = QuadratureSpec(),
@@ -163,6 +156,11 @@ def adaptive_nd(f, box, spec: QuadratureSpec = QuadratureSpec(),
     the domain so structure finer than the root box cannot alias to a
     spuriously small error estimate.  Returns (value, error_estimate); on
     budget exhaustion raises QuadratureError with the best estimate attached.
+
+    Split order: boxes are rows in creation order.  Each pass halves the 32
+    boxes of largest error (ties to the older box) along their split axes
+    and appends the halves, lower first.  f sees every initial box in its
+    first call, and the halves of one pass in each later call.
     """
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
@@ -175,40 +173,34 @@ def adaptive_nd(f, box, spec: QuadratureSpec = QuadratureSpec(),
                                                    indexing="ij")], axis=-1)
     his = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges],
                                                    indexing="ij")], axis=-1)
-    centers = 0.5 * (los + his)
-    halfw = 0.5 * (his - los)
-    vals, errs, axes = _gm_eval(f, centers, halfw, d)
-    heap = []
-    for i in range(len(centers)):
-        heapq.heappush(heap, (-errs[i], i, centers[i], halfw[i], vals[i],
-                              errs[i], axes[i]))
-    count = len(centers)
+    new = (0.5 * (los + his), 0.5 * (his - los))
+    # centers, half-widths, values, errors, split axes
+    boxes = (np.empty((0, d)), np.empty((0, d)), np.empty(0), np.empty(0),
+             np.empty(0, dtype=int))
     nsub = 0
     while True:
-        total = sum(h[4] for h in heap)
-        total_err = sum(h[5] for h in heap)
+        boxes = tuple(np.concatenate(pair)
+                      for pair in zip(boxes, new + _gm_eval(f, *new, d)))
+        centers, halfw, vals, errs, axes = boxes
+        total, total_err = np.sum(vals), np.sum(errs)
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
             return total, total_err
         if nsub >= spec.max_subdivisions:
             raise QuadratureError(
                 f"nd subdivision budget {spec.max_subdivisions} exhausted "
                 f"(err={total_err:.3e})", estimate=total, error=total_err)
-        nsplit = min(len(heap), 32)
-        worst = [heapq.heappop(heap) for _ in range(nsplit)]
-        cs, hs = [], []
-        for _, _, c, h, _, _, ax in worst:
-            h2 = h.copy()
-            h2[ax] *= 0.5
-            c1, c2 = c.copy(), c.copy()
-            c1[ax] -= h2[ax]
-            c2[ax] += h2[ax]
-            cs += [c1, c2]
-            hs += [h2, h2.copy()]
-        vals, errs, axes = _gm_eval(f, np.array(cs), np.array(hs), d)
-        for i in range(len(cs)):
-            heapq.heappush(heap, (-errs[i], count, cs[i], hs[i], vals[i], errs[i], axes[i]))
-            count += 1
-        nsub += nsplit
+        split = np.argsort(-errs, kind="stable")[:32]
+        at = (np.arange(split.size), axes[split])
+        h = halfw[split]
+        h[at] *= 0.5
+        lower, upper = centers[split], centers[split]
+        lower[at] -= h[at]
+        upper[at] += h[at]
+        new = (np.stack([lower, upper], axis=1).reshape(-1, d), np.repeat(h, 2, axis=0))
+        keep = np.ones(errs.size, dtype=bool)
+        keep[split] = False
+        boxes = tuple(a[keep] for a in boxes)
+        nsub += split.size
 
 
 _RETARDED_MAX_ITER = 100

@@ -83,6 +83,7 @@ def test_invalid_eta_exit_2_without_report(tmp_path, capsys, eta):
     ("sweep_beta = 0.1, 1.5", "sweep_beta"),
     ("sweep_lambda = 1.0, -1", "sweep_lambda"),
     ("kmax_sigma_physical = 0", "kmax_sigma_physical"),
+    ("max_subdivisions = 0", "max_subdivisions"),
 ])
 def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
     cfg = write(tmp_path, line + "\n")
@@ -90,6 +91,17 @@ def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
     assert run("all", cfg, str(out)) == 2
     assert key in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_all_runs_the_module_stage_functions_in_order(tmp_path, monkeypatch):
+    # the benchmark times stages by replacing cli.stage_*; run() must call
+    # whatever is installed there when it runs
+    order = []
+    for name in ("phases", "decoherence", "modes", "divergence"):
+        monkeypatch.setattr(cli, f"stage_{name}",
+                            lambda *args, name=name: order.append(name) or ({}, []))
+    assert run("all", write(tmp_path, "beta = 0.3\n"), str(tmp_path / "out")) == 0
+    assert order == ["phases", "decoherence", "modes", "divergence"]
 
 
 def test_unknown_subcommand_exit_2(tmp_path):
@@ -167,6 +179,22 @@ def test_decoherence_stage_small(tmp_path):
     csv_lines = (out / "sweep_decoherence.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "beta,lambda,a1,a2,a_total,visibility,phase_c1,err_a1,err_a2"
     assert len(csv_lines) == 1 + 2 * 4
+
+
+def test_decoherence_stage_matches_reference_structure(tmp_path):
+    # the benchmark's reference report fixes the structure: no result field,
+    # column, check or config key may appear or vanish without recapturing it
+    ref_path = ROOT / "perfbench" / "reference" / "decoherence-sweep.json"
+    ref = json.loads(ref_path.read_text())["report"]
+    cfg = write(tmp_path, ref["provenance"]["config_echo"])
+    out = tmp_path / "out"
+    # the sweep keeps the beta = 0.05 points where a2_over_a1_beta_squared fails
+    assert run("decoherence", cfg, str(out)) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert sorted(rep["overlap_result"]) == sorted(ref["overlap_result"])
+    assert rep["sweep"]["header"] == ref["sweep"]["header"]
+    assert sorted(rep["checks"]) == sorted(ref["checks"])
+    assert sorted(rep["provenance"]["config"]) == sorted(ref["provenance"]["config"])
 
 
 def test_decoherence_stage_bad_bessel_sum_exit_1(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,130 @@ def test_adaptive_nd_monte_carlo_cross_check():
     mc_err = 2.0 * samples.std() / np.sqrt(n)
     assert abs(val - mc) < max(0.01 * abs(val), 4 * mc_err), \
         f"adaptive={val:.6g} vs MC={mc:.6g} +- {mc_err:.2g}"
+
+
+def heap_gm_eval(f, centers, halfw, d):
+    """The earlier Genz-Malik box evaluation, with its loop over split axes."""
+    upts, w7, w5 = quadrature._GM_CACHE[d]
+    nbox = centers.shape[0]
+    pts = centers[:, None, :] + halfw[:, None, :] * upts[None, :, :]
+    vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(nbox, -1)
+    volfac = np.prod(halfw, axis=1)
+    i7 = volfac * (vals @ w7)
+    i5 = volfac * (vals @ w5)
+    f0 = vals[:, 0]
+    ratio = quadrature._L2**2 / quadrature._L3**2
+    diffs = np.empty((nbox, d))
+    for i in range(d):
+        base = 1 + 4 * i
+        d2 = vals[:, base] + vals[:, base + 1] - 2 * f0
+        d3 = vals[:, base + 2] + vals[:, base + 3] - 2 * f0
+        diffs[:, i] = np.abs(d2 - ratio * d3)
+    return i7, np.abs(i7 - i5), np.argmax(diffs, axis=1)
+
+
+def heap_adaptive_nd(f, box, spec=QuadratureSpec(), initial_grid=None):
+    """The earlier heap-based adaptive_nd, kept as the split-order oracle:
+    boxes are popped by the key (-error, creation count) and each split box
+    is evaluated as its lower half, then its upper half."""
+    box = np.asarray(box, dtype=float)
+    d = box.shape[0]
+    if initial_grid is None:
+        initial_grid = (1,) * d
+    edges = [np.linspace(box[i, 0], box[i, 1], initial_grid[i] + 1) for i in range(d)]
+    los = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges],
+                                                   indexing="ij")], axis=-1)
+    his = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges],
+                                                   indexing="ij")], axis=-1)
+    centers = 0.5 * (los + his)
+    halfw = 0.5 * (his - los)
+    vals, errs, axes = heap_gm_eval(f, centers, halfw, d)
+    heap = []
+    for i in range(len(centers)):
+        heapq.heappush(heap, (-errs[i], i, centers[i], halfw[i], vals[i],
+                              errs[i], axes[i]))
+    count = len(centers)
+    nsub = 0
+    while True:
+        total = sum(h[4] for h in heap)
+        total_err = sum(h[5] for h in heap)
+        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            return total, total_err
+        if nsub >= spec.max_subdivisions:
+            raise QuadratureError("budget exhausted", estimate=total, error=total_err)
+        nsplit = min(len(heap), 32)
+        worst = [heapq.heappop(heap) for _ in range(nsplit)]
+        cs, hs = [], []
+        for _, _, c, h, _, _, ax in worst:
+            h2 = h.copy()
+            h2[ax] *= 0.5
+            c1, c2 = c.copy(), c.copy()
+            c1[ax] -= h2[ax]
+            c2[ax] += h2[ax]
+            cs += [c1, c2]
+            hs += [h2, h2.copy()]
+        vals, errs, axes = heap_gm_eval(f, np.array(cs), np.array(hs), d)
+        for i in range(len(cs)):
+            heapq.heappush(heap, (-errs[i], count, cs[i], hs[i], vals[i], errs[i], axes[i]))
+            count += 1
+        nsub += nsplit
+
+
+def _oscillatory_2d(p):
+    return np.cos(40 * p[:, 0] * p[:, 1]) * np.exp(-p[:, 1])
+
+
+@pytest.mark.parametrize("f, box, spec, grid, raises", [
+    # a 2-D Gaussian
+    (lambda p: np.exp(-20 * np.sum((p - 0.3) ** 2, axis=1)), [(0, 1), (0, 1)],
+     QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10), None, False),
+    # mirror-symmetric cusps on grid lines: many boxes with equal errors
+    (lambda p: np.sqrt(np.abs(p[:, 0] - 0.5)) + np.sqrt(np.abs(p[:, 1] - 0.5)),
+     [(0, 1), (0, 1)], QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9), (4, 4), False),
+    # near-singular in 3-D, budget exhausted
+    (lambda p: 1.0 / np.sqrt(np.sum(p**2, axis=1) + 1e-4), [(0, 1)] * 3,
+     QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=800), None, True),
+    # 4-D, budget exhausted
+    (lambda p: np.exp(-30 * np.sum((p - 0.5) ** 2, axis=1)), [(0, 1)] * 4,
+     QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=200), None, True),
+    # oscillatory on a pre-split grid, budget exhausted
+    (_oscillatory_2d, [(0, 1), (0, 2)],
+     QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=600), (8, 16), True),
+])
+def test_adaptive_nd_matches_heap_split_order(f, box, spec, grid, raises):
+    # the flat-array kernel must split the same boxes in the same order as
+    # the heap it replaced: every integrand batch byte-identical, and the
+    # totals equal up to summation order
+    batches = {"flat": [], "heap": []}
+    results = {}
+    for name, kernel in (("flat", adaptive_nd), ("heap", heap_adaptive_nd)):
+        def recorded(x, rows=batches[name]):
+            rows.append(np.array(x).tobytes())
+            return f(x)
+        try:
+            results[name] = kernel(recorded, box, spec, initial_grid=grid)
+        except QuadratureError as exc:
+            results[name] = ("raised", exc.estimate, exc.error)
+    assert len(batches["flat"]) == len(batches["heap"]) > 1
+    assert batches["flat"] == batches["heap"]
+    flat, heap = results["flat"], results["heap"]
+    assert (flat[0] == "raised") == (heap[0] == "raised") == raises
+    np.testing.assert_allclose(np.array(flat[-2:], dtype=float),
+                               np.array(heap[-2:], dtype=float), rtol=1e-13)
+
+
+def test_adaptive_nd_first_call_covers_the_initial_grid():
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.sin(5 * x[:, 0]) * x[:, 1] ** 3
+
+    adaptive_nd(f, [(0, 1), (0, 1)], QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+                initial_grid=(3, 5))
+    per_box = sizes[0] // 15
+    assert sizes[0] == 15 * per_box
+    assert all(n % (2 * per_box) == 0 and n <= 64 * per_box for n in sizes[1:])
 
 
 def test_retarded_time_on_trajectory():
