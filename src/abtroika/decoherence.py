@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _GL32 = np.polynomial.legendre.leggauss(32)
+# orders kept above int(k) in the current-current order sum
+_N_EXTRA = 25
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,10 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
         tau_star = 0.5 * (lo + hi)
     edges = _tau_edges(tau_star if tau_star < 1 else None)
 
+    def f(t):
+        return (1 - t) * np.cos(np.pi * t) * _inner_line_pv(scale * q_of(t))
+
     if inner == "closed":
-        def f(t):
-            return (1 - t) * np.cos(np.pi * t) * _inner_line_pv(scale * q_of(t))
         value = _panels(edges, f)
     elif inner == "numeric":
         # validation mode: numeric principal values per tau node over the
@@ -155,19 +158,15 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
         # instead.
         xg, wg = np.polynomial.legendre.leggauss(8)
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
-
-        def closed_f(t):
-            return (1 - t) * np.cos(np.pi * t) * _inner_line_pv(scale * q_of(t))
-
         t_lo = 0.05 * min(tau_star, 1.0)
-        value = _panels(np.geomspace(max(t_lo * 1e-8, 1e-14), t_lo, 16), closed_f)
+        value = _panels(np.geomspace(max(t_lo * 1e-8, 1e-14), t_lo, 16), f)
         nedges = list(np.geomspace(t_lo, 1.0, 24))
         window = ()
         if t_lo < tau_star < 1.0:
             off = tau_star * np.concatenate([np.geomspace(1e-3, 0.5, 10)])
             nedges += list(tau_star - off) + list(tau_star + off)
             window = (tau_star * (1 - 1e-3), tau_star * (1 + 1e-3))
-            value += _panels(np.array([window[0], tau_star, window[1]]), closed_f)
+            value += _panels(np.array([window[0], tau_star, window[1]]), f)
         nedges = np.unique(np.clip(np.array(sorted(set(nedges))), t_lo, 1.0))
         for lo, hi in zip(nedges[:-1], nedges[1:]):
             if window and lo >= window[0] - 1e-15 and hi <= window[1] + 1e-15:
@@ -306,8 +305,7 @@ def _bessel_square_sums(x, c):
 
 def a_current_current(beta: float, lam: float,
                       fine_structure: float = 1.0 / 137.036,
-                      k_max: float | None = None, n_mu: int = 96,
-                      n_extra: int = 25):
+                      k_max: float | None = None, n_mu: int = 96):
     """Physical overlap exponent from the current-current integral.
 
     The angular k integral is exact (Bessel-function expansion over the
@@ -318,7 +316,7 @@ def a_current_current(beta: float, lam: float,
     a_cross = same kernel with 2 Re[E(k+n b) E*(k-n b)],
 
     with S the line-smearing factor and E the finite-traverse factor, and
-    the order sum truncated at |n| <= int(k + n_extra) per k node.  Both
+    the order sum truncated at |n| <= int(k + 25) per k node.  Both
     order kernels are even in n, so the sum runs over n >= 0 with n > 0
     weighted by 2 and is regrouped by Bessel order as Sum_m c_m J_m^2
     (c_0 = T_1, c_1 = T_2 + 2 T_0, c_m = T_{m+1} + T_{m-1}).  Each unit
@@ -344,7 +342,7 @@ def a_current_current(beta: float, lam: float,
         lo, hi = s * k_max / nseg, (s + 1) * k_max / nseg
         ks = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         kw = 0.5 * (hi - lo) * wg
-        nmax = (ks + n_extra).astype(int)
+        nmax = (ks + _N_EXTRA).astype(int)
         n = np.arange(nmax.max() + 1)
         Ep = _endpoint_factor(ks[:, None] + n * beta, T)
         Em = _endpoint_factor(ks[:, None] - n * beta, T)
@@ -464,15 +462,13 @@ def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
 
 def visibility_report(beta: float, lam: float,
                       fine_structure: float = 1.0 / 137.036,
-                      compute_phase: bool = True,
-                      k_max: float | None = None,
-                      phase_kwargs: dict | None = None) -> OverlapResult:
+                      k_max: float | None = None) -> OverlapResult:
     """Assemble the decoherence bundle at one parameter point.
 
     The visibility uses the physical exponent a_total = a_self + a_cross
     (current-current route); the reduced principal-value pair (a1, a2) is
-    reported alongside.  A negative physical exponent fails loudly.
-    phase_kwargs are forwarded to phase_c1_check (volume, resolution).
+    reported alongside.  A negative physical exponent fails loudly.  The
+    overlap phase is left at zero (phase_c1_check computes it).
     """
     params = UnitsAndCouplings(beta=beta, lam=lam, fine_structure=fine_structure)
     a_s, a_c = a_current_current(beta, lam, fine_structure, k_max=k_max)
@@ -484,11 +480,6 @@ def visibility_report(beta: float, lam: float,
     a1 = a1_smeared(beta, lam, fine_structure)
     a1_exact = a1_smeared(beta, lam, fine_structure, retain_sin_correction=True)
     a2, err_a2 = a2_smeared(beta, lam, fine_structure)
-    phase, scale = (0.0, 0.0)
-    if compute_phase:
-        traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT)
-        smear = SmearingProfile(SmearKind.LINE_Z, lam)
-        phase, scale = phase_c1_check(traj, smear, **(phase_kwargs or {}))
     return OverlapResult(
         parameters=params,
         a1=a1,
@@ -497,8 +488,8 @@ def visibility_report(beta: float, lam: float,
         a_cross=a_c,
         a_total=a_total,
         visibility=float(np.exp(-a_total)),
-        overlap_phase=phase,
-        phase_scale=scale,
+        overlap_phase=0.0,
+        phase_scale=0.0,
         err_a1=abs(a1 - a1_exact),
         err_a2=err_a2,
     )

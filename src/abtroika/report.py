@@ -1,43 +1,20 @@
 """Report assembly and serialization: report.json plus sweep CSVs.
 
-Floats are serialized with 17 significant digits so identical configurations
-produce byte-identical reports (timestamps live in one dedicated provenance
-subtree and are the only run-to-run difference)."""
+Floats are serialized in their shortest round-trip form (float.__repr__), so
+identical configurations produce byte-identical reports (timestamps live in
+one dedicated provenance subtree and are the only run-to-run difference)."""
 
 from __future__ import annotations
 
 import csv
 import json
-import json.encoder
 
 from . import __version__
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """JSON encoder printing floats with '%.17g' (round-trip exact)."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-
-        def floatstr(x, _inf=float("inf")):
-            if x != x:
-                return "NaN"
-            if x == _inf:
-                return "Infinity"
-            if x == -_inf:
-                return "-Infinity"
-            return format(x, ".17g")
-
-        make = json.encoder._make_iterencode(
-            markers, self.default, json.encoder.encode_basestring_ascii,
-            self.indent, floatstr, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot)
-        return make(o, 0)
-
-
 def write_report(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, cls=_Float17Encoder, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

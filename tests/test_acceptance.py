@@ -268,8 +268,7 @@ def test_criterion_13_cross_formulation():
 
 def test_criterion_14_visibility():
     t0 = time.time()
-    res = visibility_report(0.1, 1.0, fine_structure=1.0 / 137.036,
-                            compute_phase=False)
+    res = visibility_report(0.1, 1.0, fine_structure=1.0 / 137.036)
     p, m = interference_probability(0.5 * PHI_AB - (-0.5 * PHI_AB), res.a_total)
     elapsed = time.time() - t0
     ok = (res.a_total < 0.01 and res.visibility > 0.99

@@ -9,6 +9,7 @@ import pytest
 
 from abtroika import cli, decoherence
 from abtroika.config import ConfigError, RunConfig
+from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
 from abtroika.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -138,15 +139,17 @@ def test_report_determinism_except_timestamps(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_report_floats_17_digits(tmp_path):
+def test_report_floats_shortest_round_trip(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\n")
     out = tmp_path / "out"
     assert run("divergence", cfg, str(out)) == 0
-    text = (out / "report.json").read_text()
-    rep = json.loads(text)
-    # round-trip exactness of a representative float
-    val = rep["divergence"]["a_regulated"][0]
-    assert format(val, ".17g") in text
+    tokens = []
+    json.loads((out / "report.json").read_text(),
+               parse_float=lambda tok: tokens.append(tok) or float(tok))
+    assert tokens
+    # every float is written as repr(val): the shortest string that reads
+    # back to the same double
+    assert all(tok == repr(float(tok)) for tok in tokens)
 
 
 def test_config_echo_reparses(tmp_path):
@@ -161,12 +164,104 @@ def test_config_echo_reparses(tmp_path):
 def test_decoherence_sweep_parallel_matches_serial(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\nsweep_beta = 0.3\n"
                           "sweep_lambda = 1.0, 2.0\nkmax_sigma_physical = 8.0\n")
-    rows = {}
+    rows, reports = {}, {}
     for jobs, sub in ((1, "serial"), (2, "parallel")):
         out = tmp_path / sub
         assert run("decoherence", cfg, str(out), jobs=jobs) == 0
         rows[sub] = (out / "sweep_decoherence.csv").read_text()
+        reports[sub] = json.loads((out / "report.json").read_text())
+        reports[sub]["provenance"].pop("timestamps")
     assert rows["serial"] == rows["parallel"]
+    assert reports["serial"] == reports["parallel"]
+
+
+def test_decoherence_pool_no_larger_than_its_points(tmp_path, monkeypatch):
+    # the pool is faked: no worker process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    cfg = write(tmp_path, "beta = 0.3\nsweep_beta = 0.3\n"
+                          "sweep_lambda = 1.0, 2.0\nkmax_sigma_physical = 8.0\n")
+    assert run("decoherence", cfg, str(tmp_path / "out"), jobs=64) == 0
+    assert sizes == [2]
+
+
+def _counted_visibility_reports(monkeypatch):
+    calls = []
+    real = cli.visibility_report
+
+    def counted(beta, lam, *args, **kwargs):
+        calls.append((beta, lam))
+        return real(beta, lam, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "visibility_report", counted)
+    return calls
+
+
+def test_decoherence_stage_evaluates_each_point_once(tmp_path, monkeypatch):
+    # the main point (0.1, 2) of the benchmark config is also a sweep point
+    ref_path = ROOT / "perfbench" / "reference" / "decoherence-sweep.json"
+    ref = json.loads(ref_path.read_text())["report"]
+    calls = _counted_visibility_reports(monkeypatch)
+    cfg = write(tmp_path, ref["provenance"]["config_echo"])
+    assert run("decoherence", cfg, str(tmp_path / "out"), jobs=1) == 1
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 6
+
+
+def test_decoherence_stage_main_point_off_grid(tmp_path, monkeypatch):
+    calls = _counted_visibility_reports(monkeypatch)
+    cfg = write(tmp_path, "beta = 0.3\nlam = 1.5\nsweep_beta = 0.2, 0.3\n"
+                          "sweep_lambda = 1.0, 2.0\nkmax_sigma_physical = 8.0\n")
+    out = tmp_path / "out"
+    assert run("decoherence", cfg, str(out), jobs=1) == 0
+    assert len(calls) == 2 * 2 + 1
+    rep = json.loads((out / "report.json").read_text())
+    params = rep["overlap_result"]["parameters"]
+    assert (params["beta"], params["lam"]) == (0.3, 1.5)
+    lines = (out / "sweep_decoherence.csv").read_text().strip().split("\n")[1:]
+    assert [tuple(map(float, ln.split(",")[:2])) for ln in lines] == [
+        (0.2, 1.0), (0.2, 2.0), (0.3, 1.0), (0.3, 2.0)]
+
+
+def test_decoherence_stage_attaches_overlap_phase(tmp_path, monkeypatch):
+    seen = []
+
+    def stub(traj, smear):
+        seen.append((traj, smear))
+        return 3e-9, 0.01
+
+    monkeypatch.setattr(cli, "phase_c1_check", stub)
+    cfg = write(tmp_path, "beta = 0.3\nlam = 2.0\ncompute_phase = true\n"
+                          "sweep_beta = 0.3\nsweep_lambda = 1.0, 2.0\n"
+                          "kmax_sigma_physical = 8.0\n")
+    out = tmp_path / "out"
+    assert run("decoherence", cfg, str(out)) == 0
+    # once, for the main point, on the unit-radius traverse and its line smear
+    assert seen == [(TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT),
+                     SmearingProfile(SmearKind.LINE_Z, 2.0))]
+    rep = json.loads((out / "report.json").read_text())
+    res = rep["overlap_result"]
+    assert (res["overlap_phase"], res["phase_scale"]) == (3e-9, 0.01)
+    assert [row[6] for row in rep["sweep"]["rows"]] == [0.0, 0.0]
+    lines = (out / "sweep_decoherence.csv").read_text().strip().split("\n")[1:]
+    assert [ln.split(",")[6] for ln in lines] == ["0", "0"]
+    phase_check = rep["checks"]["overlap_phase_cancellation"]
+    assert phase_check["value"] == 3e-9 / 0.01
+    assert phase_check["pass"] is True
 
 
 def test_decoherence_stage_small(tmp_path):
@@ -281,6 +376,18 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "divergence_loglog_slope: pass" in proc.stdout
+
+
+def test_bad_jobs_environment_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ABTROIKA_JOBS", "abc")
+    cfg = write(tmp_path, "beta = 0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["divergence", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setenv("ABTROIKA_JOBS", "2")
+    assert cli.main(["divergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_usage_error_exit_2():

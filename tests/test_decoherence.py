@@ -3,6 +3,7 @@ import pytest
 from scipy.special import jv
 
 from abtroika import cli, decoherence
+from abtroika.config import RunConfig
 from abtroika.decoherence import (
     a1_smeared,
     a2_smeared,
@@ -293,7 +294,7 @@ def test_phase_c1_zero_without_current():
 # ---------------------------------------------------------------- visibility
 
 def test_visibility_physical_regime():
-    res = visibility_report(0.1, 1.0, compute_phase=False, k_max=20.0)
+    res = visibility_report(0.1, 1.0, k_max=20.0)
     assert res.a_total < 0.01
     assert res.visibility > 0.99
     assert res.a_self >= 0 and res.a_total > 0
@@ -301,8 +302,7 @@ def test_visibility_physical_regime():
 
 
 def test_visibility_report_carries_both_layers():
-    res = visibility_report(0.2, 1.0, fine_structure=1.0, compute_phase=False,
-                            k_max=12.0)
+    res = visibility_report(0.2, 1.0, fine_structure=1.0, k_max=12.0)
     # reduced self term is the (negative) scaling-law object
     assert res.a1 < 0
     assert res.a2 > 0
@@ -310,21 +310,27 @@ def test_visibility_report_carries_both_layers():
     assert res.err_a2 < 0.01 * res.a2
 
 
-def test_visibility_report_with_phase():
+def test_phase_c1_line_smear_cancellation():
     from abtroika.quadrature import QuadratureSpec
-    res = visibility_report(
-        0.3, 1.0, fine_structure=1.0, k_max=8.0, compute_phase=True,
-        phase_kwargs=dict(rho_max=2.5, z_max=3.0, n_phi=8, line_nodes=8,
-                          spec=QuadratureSpec(abs_tol=1e-4, rel_tol=1e-2,
-                                              max_subdivisions=400)))
-    assert res.phase_scale > 0
-    assert abs(res.overlap_phase) < 1e-6 * res.phase_scale
+    val, scale = phase_c1_check(
+        TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT),
+        SmearingProfile(SmearKind.LINE_Z, 1.0),
+        rho_max=2.5, z_max=3.0, n_phi=8, line_nodes=8,
+        spec=QuadratureSpec(abs_tol=1e-4, rel_tol=1e-2, max_subdivisions=400))
+    assert scale > 0
+    assert abs(val) < 1e-6 * scale
 
 
 def test_sweep_rows():
-    rows = [cli._sweep_point((0.1, lam, 1.0 / 137.036, False, None))
-            for lam in (0.5, 1.0)]
-    assert len(rows) == 2
+    cfg = RunConfig()
+    results = [cli._overlap_point(cfg, (0.1, lam)) for lam in (0.5, 1.0)]
+    rows = [cli._sweep_row(res) for res in results]
+    assert [len(r) for r in rows] == [len(cli.SWEEP_HEADER)] * 2
     beta, lam, a1, a2, a_tot, vis, phase, e1, e2 = rows[0]
     assert (beta, lam) == (0.1, 0.5)
     assert a_tot > 0 and 0 < vis <= 1
+    res = results[0]
+    assert (a1, a2, a_tot, vis, e1, e2) == (res.a1, res.a2, res.a_total,
+                                            res.visibility, res.err_a1, res.err_a2)
+    # the worker leaves the overlap phase to the stage
+    assert phase == 0.0 and res.phase_scale == 0.0
