@@ -294,6 +294,13 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
     return 0
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="abtroika",
@@ -303,13 +310,13 @@ def main(argv=None) -> int:
                         choices=["phases", "decoherence", "modes", "divergence", "all"])
     parser.add_argument("--config", required=True, help="flat key = value file")
     parser.add_argument("--out", default=None, help="output directory")
-    # a string default goes through type=int like a given value, so a bad
+    # a string default goes through the type like a given value, so a bad
     # ABTROIKA_JOBS is a usage error (exit 2)
-    parser.add_argument("--jobs", type=int,
+    parser.add_argument("--jobs", type=_jobs,
                         default=os.environ.get("ABTROIKA_JOBS", "1"),
                         help="decoherence worker processes (env: ABTROIKA_JOBS)")
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, max(1, args.jobs))
+    return run(args.subcommand, args.config, args.out, args.jobs)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .modes import ModeGrid, analytic_mode, photon_number, traverse_difference_drive
 from .phases import cylinder_integral
-from .quadrature import QuadratureError, QuadratureSpec, pv_integral_1d
+from .quadrature import QuadratureError, QuadratureSpec, gauss_legendre, pv_integral_1d
 
 __all__ = [
     "OverlapResult",
@@ -53,7 +53,6 @@ __all__ = [
     "visibility_report",
 ]
 
-_GL32 = np.polynomial.legendre.leggauss(32)
 # orders kept above int(k) in the current-current order sum
 _N_EXTRA = 25
 
@@ -94,11 +93,8 @@ def _inner_line_pv(alpha):
 def _panels(edges, f):
     """Sum of 32-point Gauss panels of f over consecutive edges, with every
     panel's nodes in one call of f."""
-    xg, wg = _GL32
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * xg
-    return float(half @ (f(nodes.ravel()).reshape(nodes.shape) @ wg))
+    nodes, weights = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:], 32))
+    return float(f(nodes) @ weights)
 
 
 def _tau_edges(tau_star: float | None) -> np.ndarray:
@@ -156,33 +152,29 @@ def a1_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036,
         # endpoint -- alpha < 0.05, or within 1e-3 of the branch point at
         # alpha = 1 -- the closed form covers the (weight ~1e-3) slivers
         # instead.
-        xg, wg = np.polynomial.legendre.leggauss(8)
         spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=2000)
         t_lo = 0.05 * min(tau_star, 1.0)
         value = _panels(np.geomspace(max(t_lo * 1e-8, 1e-14), t_lo, 16), f)
         nedges = list(np.geomspace(t_lo, 1.0, 24))
-        window = ()
+        window = (np.inf, -np.inf)  # no panel is skipped
         if t_lo < tau_star < 1.0:
-            off = tau_star * np.concatenate([np.geomspace(1e-3, 0.5, 10)])
+            off = tau_star * np.geomspace(1e-3, 0.5, 10)
             nedges += list(tau_star - off) + list(tau_star + off)
             window = (tau_star * (1 - 1e-3), tau_star * (1 + 1e-3))
             value += _panels(np.array([window[0], tau_star, window[1]]), f)
-        nedges = np.unique(np.clip(np.array(sorted(set(nedges))), t_lo, 1.0))
-        for lo, hi in zip(nedges[:-1], nedges[1:]):
-            if window and lo >= window[0] - 1e-15 and hi <= window[1] + 1e-15:
-                continue
-            half = 0.5 * (hi - lo)
-            for xj, wj in zip(xg, wg):
-                t = 0.5 * (hi + lo) + half * xj
-                al = float(scale * q_of(np.asarray(t)))
-                try:
-                    g = pv_integral_1d(lambda z: (1 - z) / (z**2 - al**2),
-                                       al, (0.0, 1.0), spec)
-                except QuadratureError as exc:
-                    raise QuadratureError(
-                        f"inner principal value failed at tau = {t:.6g} "
-                        f"(alpha = {al:.6g})", estimate=exc.estimate) from exc
-                value += half * wj * (1 - t) * np.cos(np.pi * t) * g
+        nedges = np.unique(np.clip(nedges, t_lo, 1.0))
+        lo, hi = nedges[:-1], nedges[1:]
+        outside = (lo < window[0] - 1e-15) | (hi > window[1] + 1e-15)
+        for t, wt in zip(*(a[outside].ravel() for a in gauss_legendre(lo, hi, 8))):
+            al = float(scale * q_of(np.asarray(t)))
+            try:
+                g = pv_integral_1d(lambda z: (1 - z) / (z**2 - al**2),
+                                   al, (0.0, 1.0), spec)
+            except QuadratureError as exc:
+                raise QuadratureError(
+                    f"inner principal value failed at tau = {t:.6g} "
+                    f"(alpha = {al:.6g})", estimate=exc.estimate) from exc
+            value += wt * (1 - t) * np.cos(np.pi * t) * g
     else:
         raise ValueError("inner must be 'closed' or 'numeric'")
     if not np.isfinite(value):
@@ -207,28 +199,21 @@ def a2_smeared(beta: float, lam: float, fine_structure: float = 1.0 / 137.036):
     if lam <= 0:
         raise ValueError("a2_smeared requires lam > 0 (endpoint corners diverge)")
 
-    def tau_plus_integral(z, n_panel):
-        base = np.geomspace(1e-9, 1.0, n_panel)
-        edges = np.unique(np.concatenate([base, 2.0 - base, [1.0]]))
-        edges = edges[(edges > 0) & (edges < 2)]
-        edges = np.concatenate([[1e-11], edges, [2 - 1e-11]])
-
-        def f(t):
-            D = np.sqrt((2 * beta / np.pi) ** 2 * np.sin(np.pi * t / 2) ** 2
-                        + (beta * lam * z / np.pi) ** 2)
-            w = np.minimum(t, 2.0 - t)
-            Ds = np.where(D == 0.0, 1.0, D)
-            val = np.log(np.abs((Ds + w) / (Ds - w))) / (2 * Ds)
-            return np.cos(np.pi * t) * np.where(D == 0.0, 0.0, val)
-
-        return _panels(edges, f)
-
     def z_integral(n_zq, n_panel):
-        xg, wg = np.polynomial.legendre.leggauss(n_zq)
-        z = 0.5 * (xg + 1.0)
-        wz = 0.5 * wg
-        return sum(wj * (1 - zj) * tau_plus_integral(zj, n_panel)
-                   for zj, wj in zip(z, wz))
+        base = np.geomspace(1e-9, 1.0, n_panel)
+        edges = np.unique(np.concatenate([[1e-11, 1.0, 2 - 1e-11], base, 2.0 - base]))
+        # tau+ panels and the integrand's z-free parts, built once for all z nodes
+        t, wt = (a.ravel() for a in gauss_legendre(edges[:-1], edges[1:], 32))
+        sin2 = (2 * beta / np.pi) ** 2 * np.sin(np.pi * t / 2) ** 2
+        w = np.minimum(t, 2.0 - t)
+        wcos = wt * np.cos(np.pi * t)
+        total = 0.0
+        for z, wz in zip(*gauss_legendre(0.0, 1.0, n_zq)):
+            # z nodes lie inside (0, 1), so D > 0
+            D = np.sqrt(sin2 + (beta * lam * z / np.pi) ** 2)
+            tau_plus = np.log(np.abs((D + w) / (D - w))) / (2 * D) @ wcos
+            total += wz * (1 - z) * tau_plus
+        return total
 
     coarse = z_integral(20, 30)
     fine = z_integral(40, 44)
@@ -331,17 +316,17 @@ def a_current_current(beta: float, lam: float,
     smear = SmearingProfile(SmearKind.LINE_Z, lam)
     if k_max is None:
         k_max = 40.0 / lam
-    xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
     nseg = int(np.ceil(k_max))
-    xmu, wmu = np.polynomial.legendre.leggauss(n_mu)
-    mu = 0.5 * (xmu + 1.0)  # half range; the integrand is even in mu
+    kedges = np.arange(nseg + 1) * k_max / nseg
+    k_nodes, k_weights = gauss_legendre(kedges[:-1], kedges[1:],
+                                        int(min(max(8, 3 * T), 48)))
+    # the integrand is even in mu: twice its integral over [0, 1]
+    mu, wmu = gauss_legendre(0.0, 1.0, n_mu)
+    wmu = 2.0 * wmu
     sin_mu = np.sqrt(1.0 - mu**2)
     a_self = 0.0
     a_cross = 0.0
-    for s in range(nseg):
-        lo, hi = s * k_max / nseg, (s + 1) * k_max / nseg
-        ks = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-        kw = 0.5 * (hi - lo) * wg
+    for lo, hi, ks, kw in zip(kedges[:-1], kedges[1:], k_nodes, k_weights):
         nmax = (ks + _N_EXTRA).astype(int)
         n = np.arange(nmax.max() + 1)
         Ep = _endpoint_factor(ks[:, None] + n * beta, T)

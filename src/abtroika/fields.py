@@ -87,6 +87,15 @@ def _shifted_sum(profile, n, shift, width):
         size *= 2
 
 
+def _azimuthal(x, rho, a_phi):
+    """a_phi (-y / rho, x / rho, 0) at points x (N, 3); zero on the axis rho = 0."""
+    out = np.zeros_like(x)
+    rs = np.where(rho == 0.0, 1.0, rho)
+    out[:, 0] = -x[:, 1] / rs * a_phi
+    out[:, 1] = x[:, 0] / rs * a_phi
+    return out
+
+
 class SolenoidPotentialTable:
     """Cubic B-spline table of the finite-loop azimuthal potential A_phi(rho, z).
 
@@ -151,12 +160,7 @@ class SolenoidPotentialTable:
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        mag = self.a_phi(rho, pts[:, 2])
-        out = np.zeros_like(pts)
-        rs = np.where(rho == 0.0, 1.0, rho)
-        out[:, 0] = -pts[:, 1] / rs * mag
-        out[:, 1] = pts[:, 0] / rs * mag
-        return out
+        return _azimuthal(pts, rho, self.a_phi(rho, pts[:, 2]))
 
 
 @functools.lru_cache(maxsize=4)
@@ -180,7 +184,6 @@ def a_solenoid(model: SolenoidModel, x):
         mag = np.where(rho >= a,
                        model.flux / (2 * np.pi * np.where(rho == 0, 1.0, rho)),
                        model.flux * rho / (2 * np.pi * a**2))
-        mag = np.where(rho == 0.0, 0.0, mag)
     else:
         zs = model.loop_positions()
         wire_d2 = (rho[:, None] - a) ** 2 + (x[:, 2, None] - zs[None, :]) ** 2
@@ -188,11 +191,7 @@ def a_solenoid(model: SolenoidModel, x):
             raise SingularFieldPoint("field point on a solenoid winding")
         mag = loop_a_phi(a, model.loop_current, rho[:, None],
                          x[:, 2, None] - zs[None, :]).sum(axis=1)
-    out = np.zeros_like(x)
-    rs = np.where(rho == 0.0, 1.0, rho)
-    out[:, 0] = -x[:, 1] / rs * mag
-    out[:, 1] = x[:, 0] / rs * mag
-    return out
+    return _azimuthal(x, rho, mag)
 
 
 def _retarded_point(traj, x, t, derivative=False):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 
 class Sense(enum.Enum):
     RIGHT = "right"  # counterclockwise
@@ -177,8 +179,8 @@ class SmearingProfile:
         """Gauss-Legendre nodes/weights for the line parameter (unit total weight)."""
         if self.kind is SmearKind.POINT:
             return np.zeros(1), np.ones(1)
-        x, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * self.sigma * x, 0.5 * w
+        x, w = gauss_legendre(-0.5, 0.5, n)
+        return self.sigma * x, w
 
 
 @dataclass(frozen=True)

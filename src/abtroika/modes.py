@@ -19,11 +19,13 @@ only that choice (zero squeezing) is supported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import SmearingProfile, TrajectoryHalfCircle
+from .quadrature import gauss_legendre
 
 __all__ = [
     "ModeGrid",
@@ -49,14 +51,17 @@ __all__ = [
 _CHUNK_ELEMS = 2**14
 
 
+@functools.lru_cache(maxsize=None)
 def _fft_keep_mask(n: int) -> np.ndarray:
-    """Flat mask of the negation-paired FFT band: |index| <= (n-1)//2, k != 0."""
+    """Flat mask of the paired FFT band |index| <= (n-1)//2, k != 0; cached, read-only."""
     idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
     ix, iy, iz = np.meshgrid(idx, idx, idx, indexing="ij")
     half = (n - 1) // 2
     inband = (np.abs(ix) <= half) & (np.abs(iy) <= half) & (np.abs(iz) <= half)
     nonzero = (ix != 0) | (iy != 0) | (iz != 0)
-    return (inband & nonzero).ravel()
+    keep = (inband & nonzero).ravel()
+    keep.flags.writeable = False
+    return keep
 
 
 @dataclass(frozen=True)
@@ -130,16 +135,10 @@ class ModeGrid:
             raise ValueError("n_phi must be even for k -> -k symmetry")
         if r_segments is None:
             r_segments = max(1, n_r // 8)
-        per = max(2, n_r // r_segments)
-        xg, wg = np.polynomial.legendre.leggauss(per)
         redges = np.linspace(0.0, k_max, r_segments + 1)
-        r, wr = [], []
-        for lo, hi in zip(redges[:-1], redges[1:]):
-            r.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
-            wr.append(0.5 * (hi - lo) * wg)
-        r = np.concatenate(r)
-        wr = np.concatenate(wr)
-        mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+        r, wr = (a.ravel() for a in gauss_legendre(
+            redges[:-1], redges[1:], max(2, n_r // r_segments)))
+        mu, wmu = gauss_legendre(-1.0, 1.0, n_mu)
         phi = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
         wphi = 2 * np.pi / n_phi
         R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
@@ -323,7 +322,8 @@ def _time_segments(t_final: float, omega_max: float, t_off: float):
                            uniform(t_off, t_final, 1)[1:]])
 
 
-_GL8 = np.polynomial.legendre.leggauss(8)
+# nodes per Gauss segment of the time quadratures
+_SEGMENT_NODES = 8
 
 
 def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
@@ -343,32 +343,27 @@ def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     n, p = grid.n_modes, _polarizations(drive)
     w_sq = (grid.weights / sq)[:, None]
     edges = _time_segments(t, float(om.max()), traj.traverse_time)
-    xg, wg = _GL8
     # outer nodes whose inner nodes share one drive call
-    group = max(1, _CHUNK_ELEMS // (len(xg) * p * n))
+    group = max(1, _CHUNK_ELEMS // (_SEGMENT_NODES * p * n))
     S = np.zeros((n, p), complex)  # Int e^{i om t'} Jt dt'
     c_im = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        tsub = mid + half * xg
+    for lo, tsub, wsub in zip(edges[:-1], *gauss_legendre(edges[:-1], edges[1:],
+                                                          _SEGMENT_NODES)):
         Jsub = drive(tsub)
         # alpha at each outer node needs the partial integral up to that node:
-        # inner 8-point Gauss on [lo, ts]
-        ihalf = 0.5 * (tsub - lo)
-        tin = 0.5 * (tsub + lo)[:, None] + ihalf[:, None] * xg
-        part = np.empty((len(xg), n, p), complex)
-        for g0 in range(0, len(xg), group):
+        # inner Gauss rule on [lo, ts]
+        tin, win = gauss_legendre(lo, tsub, _SEGMENT_NODES)
+        part = np.empty((_SEGMENT_NODES, n, p), complex)
+        for g0 in range(0, _SEGMENT_NODES, group):
             tg = tin[g0:g0 + group]
             Jin = drive(tg.ravel()).reshape(tg.shape + (n, p))
-            kernel = ((ihalf[g0:g0 + group, None] * wg)[..., None]
-                      * np.exp(1j * om * tg[..., None]))
+            kernel = win[g0:g0 + group, :, None] * np.exp(1j * om * tg[..., None])
             part[g0:g0 + group] = np.einsum("gjm,gjmp->gmp", kernel, Jin)
         alpha_here = (1j / sq[:, None] * np.exp(-1j * om * tsub[:, None])[..., None]
                       * (S + part))
         integrand = 1j * np.einsum("gmp,gmp->g", np.conj(Jsub) * w_sq, alpha_here)
-        c_im += (half * wg) @ integrand.imag
-        kernel = (half * wg)[:, None] * np.exp(1j * om * tsub[:, None])
+        c_im += wsub @ integrand.imag
+        kernel = wsub[:, None] * np.exp(1j * om * tsub[:, None])
         S = S + np.einsum("jm,jmp->mp", kernel, Jsub)
     alpha = 1j / sq[:, None] * np.exp(-1j * om[:, None] * t) * S
     c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2) + 1j * c_im
@@ -388,17 +383,13 @@ def classical_field_modes(traj: TrajectoryHalfCircle, smear: SmearingProfile,
         drive = electron_drive(traj, smear, grid)
     om = grid.omega
     edges = _time_segments(t, float(om.max()), traj.traverse_time)
-    xg, wg = _GL8
     Ssin = np.zeros((grid.n_modes, _polarizations(drive)), complex)
     Scos = np.zeros_like(Ssin)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        ts = mid + half * xg
+    for ts, wts in zip(*gauss_legendre(edges[:-1], edges[1:], _SEGMENT_NODES)):
         J = drive(ts)
         arg = om * ts[:, None]
-        Ssin += np.einsum("jm,jmp->mp", (half * wg)[:, None] * np.sin(arg), J)
-        Scos += np.einsum("jm,jmp->mp", (half * wg)[:, None] * np.cos(arg), J)
+        Ssin += np.einsum("jm,jmp->mp", wts[:, None] * np.sin(arg), J)
+        Scos += np.einsum("jm,jmp->mp", wts[:, None] * np.cos(arg), J)
     s, c = np.sin(om * t)[:, None], np.cos(om * t)[:, None]
     At = (s * Scos - c * Ssin) / om[:, None]
     Vt = c * Scos + s * Ssin

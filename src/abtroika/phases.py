@@ -29,7 +29,7 @@ from .geometry import (
     SolenoidModel,
     TrajectoryHalfCircle,
 )
-from .quadrature import QuadratureSpec, adaptive_nd
+from .quadrature import QuadratureSpec, adaptive_nd, gauss_legendre
 
 __all__ = [
     "PhaseReport",
@@ -99,15 +99,14 @@ def phi_ab_loop(model: SolenoidModel, path, n: int = 1024, closed: bool = True,
                          for i in range(3)], axis=-1)
         A = a_solenoid(model, pts)
         return charge * float(np.sum(A * tang))
-    x, w = np.polynomial.legendre.leggauss(n if n <= 256 else 256)
-    s = 0.5 * (x + 1.0)
+    s, w = gauss_legendre(0.0, 1.0, min(n, 256))
     pts = path(s)
     if _solenoid_body_hit(model, pts):
         raise ValueError("path intersects the solenoid body")
     ds = 1e-5
     tang = (path(s + ds) - path(s - ds)) / (2 * ds)
     A = a_solenoid(model, pts)
-    return charge * float(np.sum(0.5 * w[:, None] * A * tang))
+    return charge * float(np.sum(w[:, None] * A * tang))
 
 
 def phi21(traj: TrajectoryHalfCircle, model: SolenoidModel, n: int = 96) -> float:
@@ -115,12 +114,10 @@ def phi21(traj: TrajectoryHalfCircle, model: SolenoidModel, n: int = 96) -> floa
     right traverse around an ideal solenoid)."""
     if model.solenoid_radius >= traj.radius:
         raise ValueError("electron must orbit outside the solenoid")
-    T = traj.traverse_time
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * T * (x + 1.0)
+    t, w = gauss_legendre(0.0, traj.traverse_time, n)
     pos, vel = traj.point_velocity_extended(t)
     A = a_solenoid(model, pos)
-    return 0.5 * traj.charge * float(np.sum(0.5 * T * w * np.einsum("ij,ij->i", vel, A)))
+    return 0.5 * traj.charge * float(np.sum(w * np.einsum("ij,ij->i", vel, A)))
 
 
 def _earliest_arrival(traj, smear, pts):
@@ -141,7 +138,6 @@ def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMod
         raise ValueError("phi22 requires the FINITE_LOOPS solenoid (compact current)")
     if model.solenoid_radius >= traj.radius:
         raise ValueError("electron must orbit outside the solenoid")
-    T = traj.traverse_time
     a = model.solenoid_radius
     zs = model.loop_positions()
     th = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -151,13 +147,12 @@ def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMod
     dl = (2 * np.pi * a / n_phi) * np.stack(
         [-np.sin(P[:, 1]), np.cos(P[:, 1]), np.zeros(len(P))], axis=-1)
     t_on = _earliest_arrival(traj, smear, pts)
-    span = np.maximum(T - t_on, 0.0)
-    x, w = np.polynomial.legendre.leggauss(n_time)
+    # a point the signal never reaches has a window of zero width
+    tq, wq = gauss_legendre(t_on, np.maximum(traj.traverse_time, t_on), n_time)
     acc = np.zeros(len(pts))
-    for xi, wi in zip(x, w):
-        tq = t_on + span * 0.5 * (xi + 1.0)
-        A = a_electron_retarded(traj, smear, pts, tq)
-        acc += wi * 0.5 * span * np.einsum("ij,ij->i", A, dl)
+    for tj, wj in zip(tq.T, wq.T):
+        A = a_electron_retarded(traj, smear, pts, tj)
+        acc += wj * np.einsum("ij,ij->i", A, dl)
     return 0.5 * model.loop_current * float(np.sum(acc))
 
 

@@ -1,15 +1,17 @@
-"""Numerical kernels: adaptive cubature, principal values, retarded times.
+"""Numerical kernels: quadrature rules, principal values, retarded times.
 
-adaptive_nd (Genz-Malik) is the package's adaptive integrator; its
-integrands are called vectorized, f(x) with x of shape (N, d) returning
-shape (N,), and its subdivision order is deterministic for a fixed
-QuadratureSpec, so results are reproducible run to run.  pv_integral_1d
-folds a principal value into plain integrals for scipy's quad, which calls
-its integrand one scalar at a time.
+gauss_legendre is the package's fixed-node rule: every Gauss-Legendre sum
+takes its nodes and weights from it.  adaptive_nd (Genz-Malik) is the
+adaptive integrator; its integrands are called vectorized, f(x) with x of
+shape (N, d) returning shape (N,), and its subdivision order is
+deterministic for a fixed QuadratureSpec, so results are reproducible run
+to run.  pv_integral_1d folds a principal value into plain integrals for
+scipy's quad, which calls its integrand one scalar at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "QuadratureSpec",
+    "gauss_legendre",
     "adaptive_nd",
     "pv_integral_1d",
     "retarded_time_solve",
@@ -42,6 +45,23 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(lo, hi, n: int):
+    """Nodes and weights, both of shape (..., n), of the n-point
+    Gauss-Legendre rule on each interval [lo, hi] (lo and hi broadcast)."""
+    x, w = _legendre_rule(int(n))
+    lo, hi = (np.asarray(a, dtype=float)[..., None] for a in (lo, hi))
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half * w
 
 
 def pv_integral_1d(f, pole: float, bounds, spec: QuadratureSpec = QuadratureSpec()):

@@ -390,6 +390,22 @@ def test_bad_jobs_environment_exit_2(tmp_path, monkeypatch, capsys):
     assert cli.main(["divergence", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("flag, env", [(["--jobs", "0"], None), (["--jobs", "-3"], None),
+                                       ([], "-3")],
+                         ids=["jobs-0", "jobs-minus-3", "env-minus-3"])
+def test_jobs_below_one_exit_2(tmp_path, monkeypatch, capsys, flag, env):
+    if env is None:
+        monkeypatch.delenv("ABTROIKA_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("ABTROIKA_JOBS", env)
+    cfg = write(tmp_path, "beta = 0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["divergence", "--config", cfg, "--out", str(tmp_path / "out"), *flag])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         from abtroika.cli import main

@@ -1,5 +1,6 @@
-"""No module in src/ or tests/ imports a name it does not use, and the
-command line does not load what only a library call needs."""
+"""No module in src/ or tests/ imports a name it does not use, the command
+line does not load what only a library call needs, and the package takes
+every Gauss-Legendre rule from one module."""
 
 import ast
 import pathlib
@@ -44,6 +45,32 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def references(source: str, name: str) -> list:
+    """Line numbers where the module reads or imports the given name."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Name) and node.id == name)
+                   or (isinstance(node, ast.Attribute) and node.attr == name)
+                   or (isinstance(node, ast.ImportFrom)
+                       and any(a.name == name for a in node.names))})
+
+
+def test_scan_finds_a_reference():
+    src = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
+           "x = np.polynomial.legendre.leggauss(8)\n")
+    assert references(src, "leggauss") == [2, 3]
+
+
+SRC = sorted((ROOT / "src" / "abtroika").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_only_quadrature_builds_gauss_legendre_rules(path):
+    # every fixed-node rule comes from quadrature.gauss_legendre, so the
+    # rule's cache and its affine map live in one place; tests keep their own
+    if path.name != "quadrature.py":
+        assert references(path.read_text(encoding="utf-8"), "leggauss") == []
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate", "scipy.ndimage"])

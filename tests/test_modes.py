@@ -6,7 +6,6 @@ import pytest
 
 from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
 from abtroika.modes import (
-    _GL8,
     ModeGrid,
     ModeState,
     _fft_keep_mask,
@@ -271,7 +270,7 @@ def _analytic_oracle(grid, t, T, drive):
     om = grid.omega
     sq = np.sqrt(2.0 * om)
     w = grid.weights
-    xg, wg = _GL8
+    xg, wg = np.polynomial.legendre.leggauss(8)
     S = np.zeros((grid.n_modes, 3), complex)
     c_im = 0.0
     edges = _time_segments(t, float(om.max()), T)
@@ -296,7 +295,7 @@ def _analytic_oracle(grid, t, T, drive):
 def _classical_oracle(grid, t, T, drive):
     """classical_field_modes by a per-node loop; returns (At, Vt)."""
     om = grid.omega
-    xg, wg = _GL8
+    xg, wg = np.polynomial.legendre.leggauss(8)
     Ssin = np.zeros((grid.n_modes, 3), complex)
     Scos = np.zeros_like(Ssin)
     edges = _time_segments(t, float(om.max()), T)

@@ -9,6 +9,7 @@ from abtroika.quadrature import (
     QuadratureError,
     QuadratureSpec,
     adaptive_nd,
+    gauss_legendre,
     loglog_slope,
     pv_integral_1d,
     retarded_time_solve,
@@ -83,6 +84,53 @@ def test_pv_budget_error_carries_estimate():
     with pytest.raises(QuadratureError) as exc:
         pv_integral_1d(lambda z: np.sin(50 * z) ** 2 / (z - 3.0), 3.0, (0.0, 10.0), spec)
     assert exc.value.estimate is not None
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_gauss_legendre_exact_to_degree_2n_minus_1(n):
+    rng = np.random.default_rng(n)
+    lo = rng.uniform(-1.0, 0.5, 6)
+    hi = lo + rng.uniform(0.05, 0.5, 6)
+    coef = rng.normal(size=2 * n)  # degree 2n - 1
+    nodes, weights = gauss_legendre(lo, hi, n)
+    assert nodes.shape == weights.shape == (6, n)
+    poly = np.polynomial.Polynomial(coef)
+    exact = poly.integ()(hi) - poly.integ()(lo)
+    np.testing.assert_allclose(np.sum(weights * poly(nodes), axis=-1), exact,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_gauss_legendre_on_the_unit_interval_is_numpys_rule():
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes, weights = gauss_legendre(-1.0, 1.0, 8)
+    assert nodes.shape == (8,)
+    np.testing.assert_array_equal(nodes, x)
+    np.testing.assert_array_equal(weights, w)
+
+
+def test_gauss_legendre_broadcasts_scalar_lo_against_array_hi():
+    hi = np.array([0.5, 1.0, 3.0])
+    nodes, weights = gauss_legendre(0.25, hi, 8)
+    assert nodes.shape == weights.shape == (3, 8)
+    for row, h in enumerate(hi):
+        one = gauss_legendre(0.25, h, 8)
+        np.testing.assert_array_equal(nodes[row], one[0])
+        np.testing.assert_array_equal(weights[row], one[1])
+    np.testing.assert_allclose(weights.sum(axis=-1), hi - 0.25, rtol=1e-14)
+
+
+def test_gauss_legendre_cached_rule_is_read_only():
+    x, w = quadrature._legendre_rule(8)
+    assert quadrature._legendre_rule(8)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    # the mapped nodes and weights are new arrays the caller may change
+    nodes, weights = gauss_legendre(-1.0, 1.0, 8)
+    nodes[0] = weights[0] = 5.0
+    np.testing.assert_array_equal(quadrature._legendre_rule(8)[0],
+                                  np.polynomial.legendre.leggauss(8)[0])
 
 
 def test_adaptive_nd_product_2d():
