@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .geometry import (
     SmearingProfile,
@@ -32,6 +31,15 @@ __all__ = [
 ]
 
 
+def __getattr__(name):
+    # only for perfbench/tracer.py, which wraps fields.ellipk, until ROADMAP
+    # item 1 recaptures the benchmark; the program never looks this name up
+    if name == "ellipk":
+        import scipy.special
+        return scipy.special.ellipk
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class SingularFieldPoint(ValueError):
     """Field requested on (or numerically too close to) a source point."""
 
@@ -40,26 +48,32 @@ def loop_a_phi(loop_radius: float, current: float, rho, z):
     """Azimuthal potential of a single circular loop at height z = 0.
 
     A_phi = (I/(pi k)) sqrt(a/rho) [(1 - m/2) K(m) - E(m)],
-    m = k^2 = 4 a rho / ((a + rho)^2 + z^2).  Below m = 1e-2 the bracket
-    cancels to pi m^2 / 32 and the series is used instead.
+    m = k^2 = 4 a rho / ((a + rho)^2 + z^2).  The bracket is K times
+    Sum_{n >= 1} 2^{n-1} c_n^2 of the arithmetic-geometric mean of 1 and
+    k' (DLMF 19.8), k'^2 = ((a - rho)^2 + z^2) / ((a + rho)^2 + z^2) formed
+    without subtraction, c_1 = m / (2 (1 + k')), c_{n+1} = c_n^2 / (4 a_{n+1})
+    and K = pi / (2 a_inf).  Every term is positive, so nothing cancels,
+    for small m or next to the wire.
     """
     a = loop_radius
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     denom = (a + rho) ** 2 + z**2
     m = 4.0 * a * rho / denom
-    small = m < 1e-2
-    # (1 - m/2) K - E = (pi m^2 / 32)(1 + 3m/4 + 75m^2/128 + 245m^3/512
-    # + 6615m^4/16384 + O(m^5)), so A_phi = I a^2 rho / (4 denom^{3/2}) times
-    # that bracket, to 3e-11 relative at m = 1e-2
-    series = current * a**2 * rho / (4.0 * denom**1.5) * (
-        1.0 + m * (0.75 + m * (75 / 128 + m * (245 / 512 + m * (6615 / 16384)))))
-    ms = np.where(small | (m >= 1.0), 0.5, m)
-    k = np.sqrt(ms)
-    rho_safe = np.where(rho == 0.0, 1.0, rho)
-    full = (current / (np.pi * k)) * np.sqrt(a / rho_safe) * (
-        (1.0 - 0.5 * ms) * ellipk(ms) - ellipe(ms))
-    return np.where(small, series, full)
+    # on the wire itself (k' = 0) the potential is infinite; the floor keeps
+    # the mean finite there
+    kp = np.maximum(np.sqrt(((a - rho) ** 2 + z**2) / denom), 1e-300)
+    am, b = 0.5 * (1.0 + kp), np.sqrt(kp)
+    c2 = (m / (4.0 * am)) ** 2
+    total, w = c2, 1.0
+    while np.any(c2 > 1e-16 * am**2):
+        am, b = 0.5 * (am + b), np.sqrt(am * b)
+        c2 = c2**2 / (16.0 * am**2)
+        w *= 2.0
+        total = total + w * c2
+    # I/(pi k) sqrt(a/rho) K = I sqrt(denom) / (4 rho a_inf); at rho = 0
+    # the sum is 0
+    return current * np.sqrt(denom) * total / (4.0 * np.where(rho == 0.0, 1.0, rho) * am)
 
 
 # Table resolution: _N_RHO nodes over [0, rho_max], a z step no coarser than
@@ -96,6 +110,62 @@ def _azimuthal(x, rho, a_phi):
     return out
 
 
+def _prefilter_rows(c):
+    """Cubic B-spline coefficients along axis 0 of c, in place, with mirror
+    boundaries c[-i] = c[i] (Unser's recursive filter: gain 6, one causal
+    and one anti-causal pass of the pole z, the causal start summed over
+    the mirrored line)."""
+    n, z = c.shape[0], np.sqrt(3.0) - 2.0  # the inverse filter's pole
+    zk = z ** np.arange(n)
+    start = zk + zk[-1] * zk[::-1]  # z^i + z^(2n-2-i)
+    start[0], start[-1] = 1.0, zk[-1]
+    c *= 6.0
+    c[0] = start @ c / (1.0 - zk[-1] ** 2)
+    for i in range(1, n):
+        c[i] += z * c[i - 1]
+    c[-1] = (z * c[-2] + c[-1]) * z / (z * z - 1.0)
+    for i in range(n - 2, -1, -1):
+        c[i] = z * (c[i + 1] - c[i])
+
+
+def _prefilter(vals):
+    """Cubic B-spline coefficients of a 2-D array of node values, mirror
+    boundaries on every edge, as a new C-contiguous array."""
+    coef = np.asarray(vals, dtype=float)
+    for _ in range(2):  # axis 1, then axis 0 on the transposed copy
+        coef = np.ascontiguousarray(coef.T)
+        _prefilter_rows(coef)
+    return coef
+
+
+def _bspline_weights(u):
+    """Integer part of u and the cubic B-spline weights of the nodes
+    floor(u) - 1 .. floor(u) + 2, shape (4, N)."""
+    i = np.floor(u)
+    t = u - i
+    s = 1.0 - t
+    t3, s3 = t * t * t, s * s * s
+    return i.astype(np.intp), np.stack(
+        [s3, 4.0 - 6.0 * t * t + 3.0 * t3, 4.0 - 6.0 * s * s + 3.0 * s3, t3]) / 6.0
+
+
+def _bspline_eval(coef, u, v):
+    """The tensor-product cubic B-spline of the C-contiguous coefficients
+    coef at fractional indices (u, v), over the 4 x 4 nodes around each
+    point; 1 <= u <= shape[0] - 3 and likewise v, so every node is inside."""
+    i, wu = _bspline_weights(u)
+    j, wv = _bspline_weights(v)
+    width = coef.shape[1]
+    base = (i - 1) * width + (j - 1)
+    out = np.zeros(base.shape)
+    for p in range(4):
+        row = wv[0] * np.take(coef, base + p * width)
+        for q in range(1, 4):
+            row += wv[q] * np.take(coef, base + (p * width + q))
+        out += wu[p] * row
+    return out
+
+
 class SolenoidPotentialTable:
     """Cubic B-spline table of the finite-loop azimuthal potential A_phi(rho, z).
 
@@ -113,8 +183,6 @@ class SolenoidPotentialTable:
     """
 
     def __init__(self, model: SolenoidModel, rho_max: float, z_max: float):
-        from scipy.ndimage import spline_filter
-
         self.model = model
         self.rho_max = rho_max
         self.z_max = z_max
@@ -135,18 +203,16 @@ class SolenoidPotentialTable:
                               (np.arange(node.max() + 1) + 0.5 * h) * self._dz)
         vals = _shifted_sum(one_loop[:, node], n, k, width)
         vals = np.concatenate([-vals[_PAD:0:-1], vals])  # A(-rho) = -A(rho)
-        self._coef = spline_filter(vals, order=3, mode="mirror")
+        self._coef = _prefilter(vals)
 
     def a_phi(self, rho, z):
-        from scipy.ndimage import map_coordinates
-
         rho = np.asarray(rho, dtype=float)
         z = np.abs(np.asarray(z, dtype=float))
         if np.any(rho > self.rho_max) or np.any(z > self.z_max):
             raise ValueError(f"solenoid table covers rho <= {self.rho_max:g}, "
                              f"|z| <= {self.z_max:g} only")
-        out = map_coordinates(self._coef, [rho / self._drho + _PAD, z / self._dz + _PAD],
-                              order=3, mode="mirror", prefilter=False)
+        # the padding keeps every lookup 16 nodes from the array's edge
+        out = _bspline_eval(self._coef, rho / self._drho + _PAD, z / self._dz + _PAD)
         m = self.model
         near_wire = (np.abs(rho - m.solenoid_radius) < 4 * self._drho) & (
             z < m.length / 2 + 4 * self._dz)

@@ -293,8 +293,8 @@ def test_decoherence_stage_matches_reference_structure(tmp_path):
 
 
 def test_decoherence_stage_bad_bessel_sum_exit_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(decoherence, "jv",
-                        lambda n, x: np.full(np.broadcast(n, x).shape, np.nan))
+    monkeypatch.setattr(decoherence, "_bessel_square_sums",
+                        lambda x, c: np.full(c.shape[:1] + x.shape, np.nan))
     cfg = write(tmp_path, SMALL)
     assert run("decoherence", cfg, str(tmp_path / "out")) == 1
     err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import jv
+from scipy.special import jn_zeros, jv
 
 from abtroika import cli, decoherence
 from abtroika.config import RunConfig
@@ -220,6 +220,24 @@ def test_bessel_recurrence_matches_jv():
     np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13, atol=1e-14)
 
 
+def test_bessel_recurrence_near_zeros_of_j0_up_to_k80():
+    # at a zero of J_0 the squares are normalised by the rest of Neumann's
+    # sum; at k = 80 the recurrence runs over 80 + 25 orders and more
+    zeros = jn_zeros(0, 26)
+    x = np.sort(np.concatenate([zeros, zeros * (1 + 1e-9), zeros * (1 - 1e-9),
+                                [79.0, 80.0]]))
+    top = 80 + 25
+    orders = np.arange(top + 1)
+    unit = np.eye(top + 1)[:, None, :]
+    squares = decoherence._bessel_square_sums(x[None, :], unit)[:, 0, :]
+    exact = jv(orders[:, None], x[None, :]) ** 2
+    assert np.all(np.abs(squares - exact) <= 1e-14)
+    assert np.all(np.abs(squares[0] - exact[0]) <= 1e-15)
+    weights = np.random.default_rng(2).uniform(0.0, 1.0, (1, 1, top + 1))
+    total = decoherence._bessel_square_sums(x[None, :], weights)[0, 0]
+    np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13)
+
+
 def test_current_current_tiny_arguments():
     # k -> 0 and mu -> 1 drive the recurrence through its rescaling at every
     # step (growth 2m/x ~ 1e10); nothing may overflow or turn NaN
@@ -232,7 +250,8 @@ def test_current_current_tiny_arguments():
 
 
 def test_current_current_non_finite_sum_raises(monkeypatch):
-    monkeypatch.setattr(decoherence, "jv", lambda n, x: np.full(np.broadcast(n, x).shape, np.nan))
+    monkeypatch.setattr(decoherence, "_bessel_square_sums",
+                        lambda x, c: np.full(c.shape[:1] + x.shape, np.nan))
     with pytest.raises(QuadratureError, match=r"beta = 0.2, lam = 1 on the k-segment \[0, 1\]"):
         a_current_current(0.2, 1.0, 1.0, k_max=4.0)
 

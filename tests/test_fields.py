@@ -88,22 +88,39 @@ def test_loop_a_phi_against_line_integral():
                                    rtol=1e-8, err_msg=f"rho={rho}, z={z}")
 
 
+def _loop_a_phi_mpmath(a, current, rho, z):
+    """loop_a_phi's closed form at 50 digits, from the exact float inputs."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, rho, z = mpmath.mpf(a), mpmath.mpf(rho), mpmath.mpf(z)
+        mm = 4 * a * rho / ((a + rho) ** 2 + z**2)
+        return float(current / (mpmath.pi * mpmath.sqrt(mm)) * mpmath.sqrt(a / rho)
+                     * ((1 - mm / 2) * mpmath.ellipk(mm) - mpmath.ellipe(mm)))
+
+
 def test_loop_a_phi_relative_accuracy_small_m():
     # 50-digit oracle of the closed form over m in [1e-8, 0.9]; near the axis
     # or far along it (small m) the bracket (1 - m/2) K - E cancels to
     # pi m^2 / 32 in double precision
-    import mpmath
-
     a, current, rho = 0.5, 1.0, 0.3
     for m in np.geomspace(1e-8, 0.9, 60):
         z = np.sqrt(4 * a * rho / m - (a + rho) ** 2)
-        with mpmath.workdps(50):
-            mm = 4 * mpmath.mpf(a) * rho / ((a + mpmath.mpf(rho)) ** 2 + mpmath.mpf(z) ** 2)
-            exact = float(current / (mpmath.pi * mpmath.sqrt(mm))
-                          * mpmath.sqrt(a / mpmath.mpf(rho))
-                          * ((1 - mm / 2) * mpmath.ellipk(mm) - mpmath.ellipe(mm)))
-        np.testing.assert_allclose(loop_a_phi(a, current, rho, z), exact,
+        np.testing.assert_allclose(loop_a_phi(a, current, rho, z),
+                                   _loop_a_phi_mpmath(a, current, rho, z),
                                    rtol=1e-10, err_msg=f"m={m:.3g}")
+
+
+@pytest.mark.parametrize("dist", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_loop_a_phi_relative_accuracy_near_the_wire(dist):
+    # k'^2 = 1 - m is formed as a ratio, not by subtraction: at 1e-8 a from
+    # the wire 1 - m kept no correct digit
+    a, current = 0.5, 1.0
+    d = dist * a
+    for rho, z in [(a - d, 0.0), (a + d, 0.0), (a, d)]:
+        exact = _loop_a_phi_mpmath(a, current, rho, z)
+        np.testing.assert_allclose(loop_a_phi(a, current, rho, z), exact,
+                                   rtol=1e-13, err_msg=f"rho={rho!r}, z={z!r}")
 
 
 def test_loop_a_phi_axis_limit():
@@ -175,6 +192,24 @@ def test_solenoid_table_nodes_equal_the_loop_sum(n_loops, coarse, parity):
                                atol=1e-13 * np.abs(exact).max())
 
 
+@pytest.mark.parametrize("shape", [(37, 52), (40, 41), (33, 34), (64, 29)])
+def test_spline_prefilter_and_evaluation_match_ndimage(shape):
+    from scipy.ndimage import map_coordinates, spline_filter
+
+    vals = np.random.default_rng(shape[0]).standard_normal(shape)
+    exact = spline_filter(vals, order=3, mode="mirror")
+    coef = fields._prefilter(vals)
+    scale = np.abs(exact).max()
+    assert np.abs(coef - exact).max() <= 1e-13 * scale
+    # points whose 4 x 4 neighbourhoods lie inside the array, its first and
+    # last admissible indices included
+    rng = np.random.default_rng(shape[1])
+    u = np.concatenate([rng.uniform(1.0, shape[0] - 3.0, 2000), [1.0, shape[0] - 3.0]])
+    v = np.concatenate([rng.uniform(1.0, shape[1] - 3.0, 2000), [shape[1] - 3.0, 1.0]])
+    ref = map_coordinates(exact, [u, v], order=3, mode="mirror", prefilter=False)
+    assert np.abs(fields._bspline_eval(exact, u, v) - ref).max() <= 1e-13 * scale
+
+
 def test_solenoid_table_as_accurate_as_the_fitpack_table():
     from scipy.interpolate import RectBivariateSpline
 
@@ -226,13 +261,13 @@ def test_solenoid_table_rejects_points_beyond_its_extent():
 
 def test_solenoid_table_build_takes_one_loop_profile(monkeypatch):
     count = [0]
-    ellipk = fields.ellipk
+    loop_a_phi = fields.loop_a_phi
 
-    def counted(m):
-        count[0] += np.size(m)
-        return ellipk(m)
+    def counted(a, current, rho, z):
+        count[0] += np.broadcast(rho, z).size
+        return loop_a_phi(a, current, rho, z)
 
-    monkeypatch.setattr(fields, "ellipk", counted)
+    monkeypatch.setattr(fields, "loop_a_phi", counted)
     fields.SolenoidPotentialTable(LOOPS, 8.0 * 1.01, 9.0 * 1.01)
     # the direct sum over 320 x 640 nodes of 200 loops took 41M evaluations
     assert 0 < count[0] < 1_000_000

@@ -1,6 +1,7 @@
 """No module in src/ or tests/ imports a name it does not use, the command
-line does not load what only a library call needs, and the package takes
-every Gauss-Legendre rule from one module."""
+line does not load what only a library call needs, no stage loads
+scipy.special or scipy.ndimage, and the package takes every Gauss-Legendre
+rule from one module."""
 
 import ast
 import pathlib
@@ -77,11 +78,72 @@ def test_only_quadrature_builds_gauss_legendre_rules(path):
 def test_cli_leaves_scipy_module_unloaded(module):
     # loading the command line does not import what only one library call
     # needs: scipy.integrate (pv_integral_1d) adds about 25 MB to the peak
-    # memory of every run, scipy.interpolate 24 MB and 0.29 s; the solenoid
-    # table imports scipy.ndimage when it is built
+    # memory of every run, scipy.interpolate 24 MB and 0.29 s
     code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
             f"import abtroika.cli\nprint({module!r} in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SPECIAL = ("scipy.special", "scipy.ndimage")
+
+
+def special_imports(source: str) -> list:
+    """Lines that import scipy.special or scipy.ndimage (or a name from
+    them) outside a module-level __getattr__."""
+    tree = ast.parse(source)
+    shims = {id(node) for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name == "__getattr__"
+             for node in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in shims:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == m or n.startswith(m + ".") for n in names for m in SPECIAL):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_finds_a_special_import():
+    src = ("import numpy as np\nfrom scipy.special import jv\n"
+           "from scipy import ndimage\n\n\ndef f():\n    import scipy.ndimage\n\n\n"
+           "def __getattr__(name):\n    import scipy.special\n"
+           "    return getattr(scipy.special, name)\n")
+    assert special_imports(src) == [2, 3, 7]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_stage_code_imports_scipy_special(path):
+    # the loop potential is an arithmetic-geometric mean, the spline table is
+    # numpy and the Bessel recurrence is normalised by Neumann's sum: only a
+    # module __getattr__ kept for the benchmark's tracer may load these
+    assert special_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_stages_leave_scipy_special_unloaded(tmp_path):
+    # every stage on a small config, in one fresh process; neither module
+    # may be loaded after any of them (scipy.special costs about 0.25 s of
+    # start-up and 20 MB of peak memory)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 0.3\nn_loops = 25\nrho_max_over_r = 3\nlam = 2.0\n"
+                   "sweep_beta = 0.3\nsweep_lambda = 2.0\nkmax_sigma_physical = 8\n"
+                   "mode_grid_n = 4\n")
+    code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from abtroika import cli\n"
+            "for stage in ('phases', 'decoherence', 'modes', 'divergence'):\n"
+            f"    code = cli.run(stage, {str(cfg)!r}, {str(tmp_path / 'out')!r})\n"
+            f"    print('loaded', stage, code, *(m in sys.modules for m in {SPECIAL!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
+    assert loaded == [f"loaded {stage} 0 False False"
+                      for stage in ("phases", "decoherence", "modes", "divergence")]
