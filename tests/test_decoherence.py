@@ -220,6 +220,24 @@ def test_bessel_recurrence_matches_jv():
     np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13, atol=1e-14)
 
 
+def test_bessel_recurrence_matches_jv_up_to_x4():
+    # the benchmark's regime: arguments up to 4 and a top order of 12, from
+    # which the recurrence starts only about ten orders higher
+    x = np.sort(np.concatenate([np.geomspace(1e-6, 4.0, 41), [2.404825557695773]]))
+    top = 12
+    orders = np.arange(top + 1)
+    unit = np.eye(top + 1)[:, None, :]
+    squares = decoherence._bessel_square_sums(x[None, :], unit)[:, 0, :]
+    exact = jv(orders[:, None], x[None, :]) ** 2
+    assert np.all(np.abs(squares - exact) <= 1e-14)
+    decaying = (orders[:, None] > x[None, :] + 1) & (exact > 1e-280)
+    rel = np.abs(squares - exact)[decaying] / exact[decaying]
+    assert rel.max() <= 1e-12
+    weights = np.random.default_rng(3).uniform(-1.0, 1.0, (1, 1, top + 1))
+    total = decoherence._bessel_square_sums(x[None, :], weights)[0, 0]
+    np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13, atol=1e-14)
+
+
 def test_bessel_recurrence_near_zeros_of_j0_up_to_k80():
     # at a zero of J_0 the squares are normalised by the rest of Neumann's
     # sum; at k = 80 the recurrence runs over 80 + 25 orders and more
@@ -236,6 +254,58 @@ def test_bessel_recurrence_near_zeros_of_j0_up_to_k80():
     weights = np.random.default_rng(2).uniform(0.0, 1.0, (1, 1, top + 1))
     total = decoherence._bessel_square_sums(x[None, :], weights)[0, 0]
     np.testing.assert_allclose(total, weights[0, 0] @ exact, rtol=1e-13)
+
+
+def _segment_cuts(monkeypatch, beta, lam, k_max):
+    """Top order of each k-segment's Bessel sum, as a_current_current cuts it."""
+    tops = []
+    recurrence = decoherence._bessel_square_sums
+
+    def spy(x, c):
+        tops.append(c.shape[-1] - 1)
+        return recurrence(x, c)
+
+    monkeypatch.setattr(decoherence, "_bessel_square_sums", spy)
+    a_current_current(beta, lam, 1.0, k_max=k_max)
+    return tops
+
+
+def _dropped_orders(beta, lo, hi, top, n_mu=96):
+    """Oracle for the orders above top on the k-segment [lo, hi]: the largest
+    |Sum_{m > top} c_m J_m^2| over the segment's (k, mu) nodes, self and
+    cross, and the largest self c_m of the orders m <= ceil(hi).  The c_m
+    are gathered from the unfolded order sum, one jv call per order."""
+    T = np.pi / beta
+    xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
+    k = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
+    xmu, _ = np.polynomial.legendre.leggauss(n_mu)
+    x = k[:, None] * np.sqrt(1.0 - (0.5 * (xmu + 1.0)) ** 2)
+    n = np.arange(2 * int(np.ceil(hi)) + 60)
+    Ep = decoherence._endpoint_factor(k[:, None] + n * beta, T)
+    Em = decoherence._endpoint_factor(k[:, None] - n * beta, T)
+    kernels = np.where(n > 0, 2.0, 1.0) * np.stack(
+        [np.abs(Ep) ** 2 + np.abs(Em) ** 2, 2.0 * np.real(Ep * np.conj(Em))])
+    # n carries J_{|n-1|}^2 + J_{n+1}^2
+    c = np.zeros(kernels.shape[:2] + (n.size + 1,))
+    for order in (np.abs(n - 1), n + 1):
+        np.add.at(c, (slice(None), slice(None), order), kernels)
+    dropped = sum(c[:, :, m, None] * jv(m, x) ** 2 for m in range(top + 1, c.shape[-1]))
+    return np.abs(dropped).max(axis=(1, 2)), c[0, :, :int(np.ceil(hi)) + 1].max()
+
+
+@pytest.mark.parametrize("beta, lam, k_max, segments", [
+    (0.05, 2.0, 4.0, range(4)), (0.3, 0.5, 80.0, [79])])
+def test_current_current_order_cut_tail(monkeypatch, beta, lam, k_max, segments):
+    tops = _segment_cuts(monkeypatch, beta, lam, k_max)
+    for s in segments:
+        hi = s + 1.0
+        dropped, scale = _dropped_orders(beta, s, hi, tops[s])
+        assert tops[s] >= np.ceil(hi)
+        assert np.all(dropped <= decoherence._CUT_TOL * scale)
+        # negative control: without the margin above ceil(k) the cut is far
+        # from the tolerance
+        no_margin, _ = _dropped_orders(beta, s, hi, int(np.ceil(hi)))
+        assert no_margin[0] > 1e6 * decoherence._CUT_TOL * scale
 
 
 def test_current_current_tiny_arguments():

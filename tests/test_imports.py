@@ -1,7 +1,7 @@
 """No module in src/ or tests/ imports a name it does not use, the command
 line does not load what only a library call needs, no stage loads
-scipy.special or scipy.ndimage, and the package takes every Gauss-Legendre
-rule from one module."""
+scipy.special, scipy.ndimage or numpy.ma, and the package takes every
+Gauss-Legendre rule from one module."""
 
 import ast
 import pathlib
@@ -128,10 +128,14 @@ def test_no_stage_code_imports_scipy_special(path):
     assert special_imports(path.read_text(encoding="utf-8")) == []
 
 
+# modules no stage may load: scipy.special costs about 0.25 s of start-up and
+# 20 MB of peak memory; numpy.ma, which np.unique imports, about 15 ms
+UNLOADED = SPECIAL + ("numpy.ma",)
+
+
 def test_stages_leave_scipy_special_unloaded(tmp_path):
-    # every stage on a small config, in one fresh process; neither module
-    # may be loaded after any of them (scipy.special costs about 0.25 s of
-    # start-up and 20 MB of peak memory)
+    # every stage on a small config, in one fresh process; none of UNLOADED
+    # may be loaded after any of them
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta = 0.3\nn_loops = 25\nrho_max_over_r = 3\nlam = 2.0\n"
                    "sweep_beta = 0.3\nsweep_lambda = 2.0\nkmax_sigma_physical = 8\n"
@@ -140,10 +144,10 @@ def test_stages_leave_scipy_special_unloaded(tmp_path):
             "from abtroika import cli\n"
             "for stage in ('phases', 'decoherence', 'modes', 'divergence'):\n"
             f"    code = cli.run(stage, {str(cfg)!r}, {str(tmp_path / 'out')!r})\n"
-            f"    print('loaded', stage, code, *(m in sys.modules for m in {SPECIAL!r}))\n")
+            f"    print('loaded', stage, code, *(m in sys.modules for m in {UNLOADED!r}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded ")]
-    assert loaded == [f"loaded {stage} 0 False False"
+    assert loaded == [f"loaded {stage} 0 False False False"
                       for stage in ("phases", "decoherence", "modes", "divergence")]
