@@ -13,6 +13,12 @@ once per stage or node.  p is a state's polarization count (alpha has shape
 (n_modes, p)): 2 for the traverse, whose orbit lies in the plane z = 0, and
 3 for fields with a z part.
 
+evolve_mode integrates the modes by classical RK4.  On a chunk where the
+drive is nonzero it steps by RK4's exact step map alpha <- P alpha + h (the
+equation is linear with constant coefficients), with h for the whole chunk
+taken in bulk; where the drive is identically zero it keeps the staged
+arithmetic, whose rounding the photon-number drift check reads.
+
 The vacuum kernel is stationary at B(k) = omega / 2 (Riccati fixed point);
 only that choice (zero squeezing) is supported.
 """
@@ -20,6 +26,7 @@ only that choice (zero squeezing) is supported.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,9 +52,10 @@ __all__ = [
     "random_smooth_state",
 ]
 
-# complex values per batched work array (RK4 stage states, inner-node drive
-# values).  At 216 modes, 2**14 runs the modes stage as fast as 2**15 and
-# raises its peak memory by 0.8 MB instead of 2 MB.
+# complex values per batched work array (the per-step arrays of an RK4 chunk,
+# inner-node drive values).  On the folded 108-mode grid with 2
+# polarizations (the modes-n6 benchmark), 2**15 runs the modes stage faster
+# than 2**14 but raises its peak memory from 41.5 MB to 43.4-46.8 MB.
 _CHUNK_ELEMS = 2**14
 
 
@@ -87,9 +95,12 @@ class ModeGrid:
         if np.any(self.omega <= 0):
             raise ValueError("k = 0 must be excluded from a ModeGrid")
 
-    @property
+    @functools.cached_property
     def omega(self) -> np.ndarray:
-        return np.linalg.norm(self.k_points, axis=-1)
+        """|k| of every mode; computed once per grid, read-only."""
+        om = np.linalg.norm(self.k_points, axis=-1)
+        om.flags.writeable = False
+        return om
 
     @property
     def n_modes(self) -> int:
@@ -236,16 +247,10 @@ def traverse_difference_drive(traj_right: TrajectoryHalfCircle,
     return lambda ts: dr(ts) - dl(ts)
 
 
-# RK4 weight of each stage, and the offset of its time from the step start
-# in half steps
-_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
-_RK4_HALF_STEPS = np.array([0, 1, 1, 2])
-
-
 def _rk4_chunk(n_modes: int, p: int) -> int:
-    """RK4 steps per drive call: the chunk's stage states, (steps, 4, n_modes,
-    p) complex values, fit in _CHUNK_ELEMS."""
-    return max(1, _CHUNK_ELEMS // (4 * p * n_modes))
+    """RK4 steps per drive call: each per-step work array of the chunk,
+    (steps, n_modes, p) complex values, fits in _CHUNK_ELEMS."""
+    return max(1, _CHUNK_ELEMS // (p * n_modes))
 
 
 def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
@@ -253,7 +258,20 @@ def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
 
     Requires dt * omega_max <= 0.5; a coarser step raises an error naming the
     worst mode.  The drive attached to the state supplies Jt(k, t), one call
-    per chunk of _rk4_chunk(n_modes) steps at the chunk's distinct stage times.
+    per chunk of _rk4_chunk(n_modes, p) steps at the chunk's distinct stage
+    times; with no drive attached no call is made.
+
+    The equation is linear with constant coefficients, so one RK4 step is
+    exactly alpha <- P alpha + h, with z = -i omega dt, P(z) = 1 + z + z^2/2
+    + z^3/6 + z^4/24 the stability polynomial and, for g = i Jt / sqrt(2
+    omega) at the step's start, midpoint and end,
+    h = (dt/6) [(1 + z + z^2/2 + z^3/4) g0 + (4 + 2z + z^2/2) g_half + g1].
+    A chunk with a nonzero drive takes h in bulk, steps by that map, and
+    rebuilds the stage states from the stored step-start amplitudes for the
+    phase c.  A chunk whose drive is identically zero keeps the staged
+    arithmetic operation for operation, because the photon-number drift
+    check reads the rounding of the free evolution; once that check no
+    longer does, this branch folds into the step map with h = 0.
     """
     om = state.grid.omega
     worst = int(np.argmax(om))
@@ -262,38 +280,52 @@ def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
             f"dt * omega = {dt * om[worst]:.3f} > 0.5 for mode {worst} "
             f"(|k| = {om[worst]:.4g}); reduce dt")
     n, p = state.alpha.shape
-    drive = state.drive if state.drive is not None else (
-        lambda ts: np.zeros((len(ts), n, p), complex))
-    sq = np.sqrt(2.0 * om)
-    om_, sq_ = om[:, None], sq[:, None]
-    w_sq = (state.grid.weights / sq)[:, None]
+    i_sq = 1j / np.sqrt(2.0 * om)[:, None]
+    w_ = state.grid.weights[:, None]
+    # (-i omega) alpha equals -i (omega alpha) bit for bit
+    miw = -1j * om[:, None]
+    z = dt * miw
+    P = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    W0 = dt / 6 * (1 + z + z * z / 2 + z**3 / 4)
+    Wh = dt / 6 * (4 + 2 * z + z * z / 2)
     chunk = _rk4_chunk(n, p)
-    stages = np.empty((chunk, 4, n, p), complex)
 
     alpha = state.alpha.copy()
     c = complex(state.c_phase)
     t0 = state.time
     for i0 in range(0, steps, chunk):
         m = min(chunk, steps - i0)
-        # stage times from the step index, not accumulation: the final stage
-        # must not drift past the drive support by rounding
-        J = drive(t0 + (i0 + np.arange(2 * m + 1) / 2) * dt)
-        g = 1j * J / sq_
-        for j in range(m):
-            s = stages[j]
-            s[0] = alpha
-            k1a = -1j * (om_ * alpha) + g[2 * j]
-            np.add(alpha, dt / 2 * k1a, out=s[1])
-            k2a = -1j * (om_ * s[1]) + g[2 * j + 1]
-            np.add(alpha, dt / 2 * k2a, out=s[2])
-            k3a = -1j * (om_ * s[2]) + g[2 * j + 1]
-            np.add(alpha, dt * k3a, out=s[3])
-            k4a = -1j * (om_ * s[3]) + g[2 * j + 2]
-            alpha = alpha + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        # dc/dt = i Sum w conj(Jt) alpha / sqrt(2 omega) at every stage state
-        stage_J = (np.conj(J) * w_sq)[2 * np.arange(m)[:, None] + _RK4_HALF_STEPS]
-        c = c + dt / 6 * 1j * np.einsum("jsmp,jsmp,s->", stage_J, stages[:m],
-                                        _RK4_WEIGHTS)
+        J = None
+        if state.drive is not None:
+            # stage times from the step index, not accumulation: the final
+            # stage must not drift past the drive support by rounding
+            J = state.drive(t0 + (i0 + np.arange(2 * m + 1) / 2) * dt)
+        if J is None or not J.any():
+            for _ in range(m):
+                k1a = miw * alpha
+                k2a = miw * (alpha + dt / 2 * k1a)
+                k3a = miw * (alpha + dt / 2 * k2a)
+                k4a = miw * (alpha + dt * k3a)
+                alpha = alpha + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+            continue
+        # g at the step ends (m + 1 rows) and midpoints (m rows)
+        ge, gh = J[0::2] * i_sq, J[1::2] * i_sq
+        g0, g1 = ge[:-1], ge[1:]
+        h = W0 * g0 + Wh * gh + dt / 6 * g1
+        A = np.empty_like(h)  # alpha at the start of each step
+        A[0] = alpha
+        for j in range(m - 1):
+            np.multiply(P, A[j], out=A[j + 1])
+            A[j + 1] += h[j]
+        alpha = P * A[-1] + h[-1]
+        # dc/dt = i Sum w conj(Jt) alpha / sqrt(2 omega) = -Sum w conj(g) alpha
+        # at every stage state, rebuilt in bulk
+        s1 = A + dt / 2 * (miw * A + g0)
+        s2 = A + dt / 2 * (miw * s1 + gh)
+        s3 = A + dt * (miw * s2 + gh)
+        gwe, gwh = ge * w_, gh * w_
+        c = c - dt / 6 * (np.vdot(gwe[:-1], A) + 2 * np.vdot(gwh, s1 + s2)
+                          + np.vdot(gwe[1:], s3))
     return replace(state, alpha=alpha, c_phase=c, time=t0 + steps * dt)
 
 
@@ -399,7 +431,6 @@ def classical_field_modes(traj: TrajectoryHalfCircle, smear: SmearingProfile,
 def photon_number(state: ModeState) -> float:
     """Sum_k w |alpha|^2 over modes and polarizations (for the difference
     state alpha_R - alpha_L this is twice the decoherence exponent)."""
-    import math
     terms = (state.grid.weights[:, None] * np.abs(state.alpha) ** 2).ravel()
     return math.fsum(terms.tolist())
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfC
 from abtroika.modes import (
     ModeGrid,
     ModeState,
+    _CHUNK_ELEMS,
     _fft_keep_mask,
     _fields_from_state,
     _rk4_chunk,
@@ -364,6 +366,34 @@ def test_drive_calls_per_chunk_and_none_after_support(monkeypatch):
     assert len(batches) == math.ceil(steps / chunk)
     assert batches == [2 * chunk + 1, 2 * chunk + 1, 3]
 
+    # on the folded grids of mode_grid_n = 6 and 16 (108 and 2048 modes x 2)
+    # each per-step work array of a chunk, (m, n_modes, 2), fits
+    # _CHUNK_ELEMS, and one more step would not
+    for n in (6, 16):
+        big = ModeGrid.cartesian(n, 3.0).fold_kz()
+        big_drive = electron_drive(tr, POINT, big)
+        sizes = []
+
+        def counted_big(ts):
+            sizes.append(len(ts))
+            return big_drive(ts)
+
+        evolve_mode(ModeState.vacuum(big, counted_big), 0.05 / big.omega.max(),
+                    _rk4_chunk(big.n_modes, 2) + 1)
+        m = (sizes[1] - 1) // 2
+        assert m * 2 * big.n_modes <= _CHUNK_ELEMS < (m + 1) * 2 * big.n_modes
+        assert sizes[2] == 3
+
+    # without a drive no drive values are made: the free steps allocate
+    # less than one chunk's per-step array
+    tracemalloc.start()
+    try:
+        evolve_mode(replace(vacuum, drive=None), dt, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _CHUNK_ELEMS
+
     st_T = analytic_mode(tr, POINT, g, T * (1 + 1e-9), drive=drive)
     lookups = []
     real = TrajectoryHalfCircle.point_velocity_extended
@@ -400,24 +430,28 @@ def test_traverse_evolution_matches_per_step_oracle():
     tr = small_traj(0.3)
     g = ModeGrid.cartesian(6, 3.0)
     T = tr.traverse_time
-    dt = 0.1 / g.omega.max()
     chunk = _rk4_chunk(g.n_modes, 2)
     drive = electron_drive(tr, LINE, g)
     oracle = _drive_oracle(tr, LINE, g)
-    cases = [(0.0, n) for n in (1, chunk - 1, chunk, chunk + 1)]
-    # t0 != 0; the support ending on a half step and inside a step mid-chunk
-    cases += [(0.3 * T, 2 * chunk + 1), (T - 5.5 * dt, chunk + 1),
-              (T - 4.3 * dt, chunk + 1)]
-    for t0, steps in cases:
-        start = ModeState(g, np.zeros((g.n_modes, 2), complex), 0j, t0, drive)
-        if t0:
-            start = replace(start, alpha=analytic_mode(tr, LINE, g, t0).alpha,
-                            c_phase=0.1 + 0.2j)
-        got = evolve_mode(start, dt, steps)
-        alpha, c = _evolve_oracle(start, dt, steps, oracle)
-        assert _rel(got.alpha, _in_plane(alpha)) <= 1e-13, (t0, steps)
-        assert abs(got.c_phase - c) <= 1e-13 * abs(c), (t0, steps)
-        assert got.time == t0 + steps * dt
+    # dt * omega_max = 0.5 is the largest step evolve_mode takes
+    for dt in (0.1 / g.omega.max(), 0.5 / g.omega.max()):
+        cases = [(0.0, n) for n in (1, chunk - 1, chunk, chunk + 1)]
+        # t0 != 0; the support ending on a half step and inside a step mid-chunk
+        cases += [(0.3 * T, 2 * chunk + 1), (T - 5.5 * dt, chunk + 1),
+                  (T - 4.3 * dt, chunk + 1)]
+        # a chunk driven for its first half and zero for the rest, then
+        # chunks that are zero throughout
+        cases += [(T - chunk // 2 * dt, 3 * chunk)]
+        for t0, steps in cases:
+            start = ModeState(g, np.zeros((g.n_modes, 2), complex), 0j, t0, drive)
+            if t0:
+                start = replace(start, alpha=analytic_mode(tr, LINE, g, t0).alpha,
+                                c_phase=0.1 + 0.2j)
+            got = evolve_mode(start, dt, steps)
+            alpha, c = _evolve_oracle(start, dt, steps, oracle)
+            assert _rel(got.alpha, _in_plane(alpha)) <= 1e-13, (dt, t0, steps)
+            assert abs(got.c_phase - c) <= 1e-13 * abs(c), (dt, t0, steps)
+            assert got.time == t0 + steps * dt
 
 
 @pytest.mark.parametrize("n", [4, 6])
