@@ -186,8 +186,9 @@ def stage_modes(cfg: RunConfig, out_dir: str = "."):
 
     residuals["b_relation"] = b_relation_residual(traj, smear, grid, 0.7 * T)
 
-    # free evolution from just past T, where the drive has switched off
-    st_free = free_rotation(st_a, 1e-9 * T)
+    # free evolution from just past T, where the drive has switched off:
+    # detached, so that the free steps call no drive only to find it zero
+    st_free = dataclasses.replace(free_rotation(st_a, 1e-9 * T), drive=None)
     n0 = photon_number(st_free)
     st_late = evolve_mode(st_free, 0.01 / om.max(), 10_000)
     residuals["photon_number_drift"] = abs(photon_number(st_late) - n0) / max(n0, 1e-300)

@@ -19,6 +19,11 @@ equation is linear with constant coefficients), with h for the whole chunk
 taken in bulk; where the drive is identically zero it keeps the staged
 arithmetic, whose rounding the photon-number drift check reads.
 
+analytic_mode takes alpha and c by Gauss quadrature on segments of the time
+axis, from one drive call per segment at its Gauss nodes: c's inner
+integral up to each node comes from the same node values (Gauss
+collocation), so the rule for c has the order 2 x nodes of the one for alpha.
+
 The vacuum kernel is stationary at B(k) = omega / 2 (Riccati fixed point);
 only that choice (zero squeezing) is supported.
 """
@@ -32,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import SmearingProfile, TrajectoryHalfCircle
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, gauss_partial_matrix
 
 __all__ = [
     "ModeGrid",
@@ -52,10 +57,10 @@ __all__ = [
     "random_smooth_state",
 ]
 
-# complex values per batched work array (the per-step arrays of an RK4 chunk,
-# inner-node drive values).  On the folded 108-mode grid with 2
-# polarizations (the modes-n6 benchmark), 2**15 runs the modes stage faster
-# than 2**14 but raises its peak memory from 41.5 MB to 43.4-46.8 MB.
+# complex values per per-step work array of an RK4 chunk; it sizes only the
+# chunks of evolve_mode.  On the folded 108-mode grid with 2 polarizations
+# (the modes-n6 benchmark), 2**15 runs the modes stage faster than 2**14 but
+# raises its peak memory from 41.5 MB to 43.4-46.8 MB.
 _CHUNK_ELEMS = 2**14
 
 
@@ -367,36 +372,36 @@ def analytic_mode(traj: TrajectoryHalfCircle, smear: SmearingProfile,
     The real part of c is fixed by construction to -(1/2) Sum w |alpha|^2,
     which the quadrature route also satisfies; the imaginary part is the
     accumulated current-field phase.
+
+    Each segment takes one drive call, at its _SEGMENT_NODES Gauss nodes.
+    With E = e^{i omega t'} Jt, alpha integrates E over the segments by the
+    Gauss rule.  c integrates -Sum (w / 2 omega) conj(E) . Int_0^{t'} E by the
+    same rule, the inner integral up to each node taken from the node values
+    by gauss_partial_matrix: Gauss collocation, of order 2 _SEGMENT_NODES like
+    the rule for alpha (Butcher 1964).  The factors e^{-+i omega t'} cancel,
+    so alpha is never formed at the nodes.
     """
     if drive is None:
         drive = electron_drive(traj, smear, grid)
     om = grid.omega
     sq = np.sqrt(2.0 * om)
     n, p = grid.n_modes, _polarizations(drive)
-    w_sq = (grid.weights / sq)[:, None]
+    w_2om = (grid.weights / (2.0 * om))[:, None]
     edges = _time_segments(t, float(om.max()), traj.traverse_time)
-    # outer nodes whose inner nodes share one drive call
-    group = max(1, _CHUNK_ELEMS // (_SEGMENT_NODES * p * n))
+    A = gauss_partial_matrix(_SEGMENT_NODES)
     S = np.zeros((n, p), complex)  # Int e^{i om t'} Jt dt'
     c_im = 0.0
-    for lo, tsub, wsub in zip(edges[:-1], *gauss_legendre(edges[:-1], edges[1:],
-                                                          _SEGMENT_NODES)):
+    for half, tsub, wsub in zip(0.5 * np.diff(edges), *gauss_legendre(
+            edges[:-1], edges[1:], _SEGMENT_NODES)):
         Jsub = drive(tsub)
-        # alpha at each outer node needs the partial integral up to that node:
-        # inner Gauss rule on [lo, ts]
-        tin, win = gauss_legendre(lo, tsub, _SEGMENT_NODES)
-        part = np.empty((_SEGMENT_NODES, n, p), complex)
-        for g0 in range(0, _SEGMENT_NODES, group):
-            tg = tin[g0:g0 + group]
-            Jin = drive(tg.ravel()).reshape(tg.shape + (n, p))
-            kernel = win[g0:g0 + group, :, None] * np.exp(1j * om * tg[..., None])
-            part[g0:g0 + group] = np.einsum("gjm,gjmp->gmp", kernel, Jin)
-        alpha_here = (1j / sq[:, None] * np.exp(-1j * om * tsub[:, None])[..., None]
-                      * (S + part))
-        integrand = 1j * np.einsum("gmp,gmp->g", np.conj(Jsub) * w_sq, alpha_here)
-        c_im += wsub @ integrand.imag
-        kernel = wsub[:, None] * np.exp(1j * om * tsub[:, None])
-        S = S + np.einsum("jm,jmp->mp", kernel, Jsub)
+        phase = np.exp(1j * om * tsub[:, None])
+        E = phase[..., None] * Jsub
+        # A is real: it acts on the interleaved real and imaginary parts
+        # (a real-complex matmul would not reach BLAS)
+        AE = (A @ E.reshape(_SEGMENT_NODES, -1).view(float)).view(complex)
+        inner = half * AE.reshape(E.shape) + S  # Int_0^{t_j} E at every node j
+        c_im -= np.vdot(wsub[:, None, None] * w_2om * E, inner).imag
+        S = S + np.einsum("jm,jmp->mp", wsub[:, None] * phase, Jsub)
     alpha = 1j / sq[:, None] * np.exp(-1j * om[:, None] * t) * S
     c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2) + 1j * c_im
     return ModeState(grid, alpha, complex(c), t, drive)

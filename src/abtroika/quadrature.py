@@ -1,12 +1,14 @@
 """Numerical kernels: quadrature rules, principal values, retarded times.
 
 gauss_legendre is the package's fixed-node rule: every Gauss-Legendre sum
-takes its nodes and weights from it.  adaptive_nd (Genz-Malik) is the
-adaptive integrator; its integrands are called vectorized, f(x) with x of
-shape (N, d) returning shape (N,), and its subdivision order is
-deterministic for a fixed QuadratureSpec, so results are reproducible run
-to run.  pv_integral_1d folds a principal value into plain integrals for
-scipy's quad, which calls its integrand one scalar at a time.
+takes its nodes and weights from it, and gauss_partial_matrix gives the
+integrals from the left end of the interval to each of its nodes.
+adaptive_nd (Genz-Malik) is the adaptive integrator; its integrands are
+called vectorized, f(x) with x of shape (N, d) returning shape (N,), and
+its subdivision order is deterministic for a fixed QuadratureSpec, so
+results are reproducible run to run.  pv_integral_1d folds a principal
+value into plain integrals for scipy's quad, which calls its integrand one
+scalar at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureSpec",
     "gauss_legendre",
+    "gauss_partial_matrix",
     "adaptive_nd",
     "pv_integral_1d",
     "retarded_time_solve",
@@ -53,6 +56,24 @@ def _legendre_rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_partial_matrix(n: int) -> np.ndarray:
+    """A[j, k] = Int_{-1}^{x_j} l_k, read-only, for the Lagrange basis l_k
+    on the n Gauss nodes x of [-1, 1]: A @ f(x) integrates the interpolant
+    of f from -1 to each node, exactly for polynomials of degree < n.  It is
+    the A-matrix of the n-stage Gauss-Legendre Runge-Kutta method.
+
+    The nodes are orthogonal for degree <= 2n - 1, so l_k = w_k Sum_m
+    (m + 1/2) P_m(x_k) P_m, and Int_{-1}^x P_m = (P_{m+1} - P_{m-1})/(2m + 1)
+    for m >= 1 (x + 1 for m = 0).
+    """
+    x, w = _legendre_rule(int(n))
+    V = np.polynomial.legendre.legvander(x, n)
+    A = w * (0.5 * (1 + x)[:, None] + 0.5 * (V[:, 2:] - V[:, :-2]) @ V[:, 1:n].T)
+    A.flags.writeable = False
+    return A
 
 
 def gauss_legendre(lo, hi, n: int):

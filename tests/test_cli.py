@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -327,6 +328,33 @@ def test_modes_stage_small(tmp_path):
     assert sorted(mc) == sorted(ref["mode_checks"])
     assert sorted(rep["checks"]) == sorted(ref["checks"])
     assert sorted(rep["provenance"]["config"]) == sorted(ref["provenance"]["config"])
+
+
+def test_modes_stage_free_run_calls_no_drive(tmp_path, monkeypatch):
+    # past the traverse end the drive is identically zero: the free steps
+    # of the photon-number drift check run with no drive attached
+    cfg = RunConfig.from_file(write(tmp_path, "beta = 0.3\nmode_grid_n = 4\n"))
+    T = cfg.trajectory().traverse_time
+    runs = []
+    real = cli.evolve_mode
+
+    def recorded(state, dt, steps):
+        calls = []
+        if state.drive is not None:
+            def counted(ts, drive=state.drive):
+                calls.append(len(ts))
+                return drive(ts)
+
+            state = dataclasses.replace(state, drive=counted)
+        out = real(state, dt, steps)
+        runs.append((state.time, calls))
+        return out
+
+    monkeypatch.setattr(cli, "evolve_mode", recorded)
+    cli.stage_modes(cfg, str(tmp_path))
+    free = [calls for t0, calls in runs if t0 > T]
+    assert free == [[]]
+    assert all(calls for t0, calls in runs if t0 <= T)
 
 
 def test_odd_mode_grid_exit_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -61,17 +62,26 @@ def test_scan_finds_a_reference():
     src = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
            "x = np.polynomial.legendre.leggauss(8)\n")
     assert references(src, "leggauss") == [2, 3]
+    assert references("from numpy.polynomial.legendre import legvander\n",
+                      "legvander") == [1]
+    assert {"leggauss", "legvander"} <= set(LEGENDRE_NAMES)
 
 
 SRC = sorted((ROOT / "src" / "abtroika").glob("*.py"))
 
 
+# the numpy.polynomial.legendre module and every helper in it
+LEGENDRE_NAMES = ("legendre", *np.polynomial.legendre.__all__)
+
+
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_only_quadrature_builds_gauss_legendre_rules(path):
-    # every fixed-node rule comes from quadrature.gauss_legendre, so the
-    # rule's cache and its affine map live in one place; tests keep their own
+    # every fixed-node rule comes from quadrature.gauss_legendre, and every
+    # matrix built on its nodes from the same module, so the rule's cache
+    # and its affine map live in one place; tests keep their own
     if path.name != "quadrature.py":
-        assert references(path.read_text(encoding="utf-8"), "leggauss") == []
+        source = path.read_text(encoding="utf-8")
+        assert [name for name in LEGENDRE_NAMES if references(source, name)] == []
 
 
 @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.interpolate", "scipy.ndimage"])

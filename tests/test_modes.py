@@ -10,6 +10,7 @@ from abtroika.modes import (
     ModeGrid,
     ModeState,
     _CHUNK_ELEMS,
+    _SEGMENT_NODES,
     _fft_keep_mask,
     _fields_from_state,
     _rk4_chunk,
@@ -456,8 +457,9 @@ def test_traverse_evolution_matches_per_step_oracle():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_quadratures_match_nested_loop_oracles(n):
-    # n = 4 takes all 64 inner nodes of a segment in one drive call, n = 6
-    # splits them into groups of outer nodes
+    # the oracle takes c's inner integral up to each node by a nested Gauss
+    # rule on [lo, t_j]: a rule for c independent of analytic_mode's
+    # collocation on the segment's own nodes
     tr = small_traj(0.3)
     g = ModeGrid.cartesian(n, 3.0)
     T = tr.traverse_time
@@ -471,6 +473,40 @@ def test_quadratures_match_nested_loop_oracles(n):
         At_o, Vt_o = _classical_oracle(g, t, T, oracle)
         assert _rel(At, _in_plane(At_o)) <= 1e-13
         assert _rel(Vt, _in_plane(Vt_o)) <= 1e-13
+
+
+def test_analytic_mode_one_drive_call_per_segment():
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(4, 3.0)
+    T = tr.traverse_time
+    drive = electron_drive(tr, LINE, g)
+    for t in (0.6 * T, 1.3 * T):
+        batches = []
+
+        def counted(ts):
+            batches.append(len(ts))
+            return drive(ts)
+
+        analytic_mode(tr, LINE, g, t, drive=counted)
+        segments = len(_time_segments(t, float(g.omega.max()), T)) - 1
+        # the empty polarization probe, then the Gauss nodes of each segment
+        assert batches == [0] + [_SEGMENT_NODES] * segments
+
+
+def test_analytic_phase_is_the_rk4_limit_at_fourth_order():
+    # evolve_mode's c tends to analytic_mode's as dt^4: halving dt divides
+    # their difference by 16
+    tr = small_traj(0.3)
+    g = ModeGrid.cartesian(6, 3.0)
+    T = tr.traverse_time
+    drive = electron_drive(tr, LINE, g)
+    c = analytic_mode(tr, LINE, g, T, drive=drive).c_phase
+    steps = int(np.ceil(g.omega.max() * T / 0.2))
+    errs = np.array([
+        abs(evolve_mode(ModeState.vacuum(g, drive), T / s, s).c_phase - c)
+        for s in (steps, 2 * steps, 4 * steps)])
+    ratios = errs[:-1] / errs[1:]
+    assert np.all((ratios > 15) & (ratios < 17)), ratios
 
 
 # ------------------------------------------------------------ k_z symmetry

@@ -10,6 +10,7 @@ from abtroika.quadrature import (
     QuadratureSpec,
     adaptive_nd,
     gauss_legendre,
+    gauss_partial_matrix,
     loglog_slope,
     pv_integral_1d,
     retarded_time_solve,
@@ -131,6 +132,27 @@ def test_gauss_legendre_cached_rule_is_read_only():
     nodes[0] = weights[0] = 5.0
     np.testing.assert_array_equal(quadrature._legendre_rule(8)[0],
                                   np.polynomial.legendre.leggauss(8)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_gauss_partial_matrix_integrates_to_each_node(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    A = gauss_partial_matrix(n)
+    assert A.shape == (n, n)
+    # exact for every x^k, k <= n - 1, on each [-1, x_j]
+    for k in range(n):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose(A @ x**k, exact, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(A.sum(axis=1), x + 1, rtol=0, atol=1e-14)
+    # the Gauss Runge-Kutta condition b^T A = b (1 - c) on [-1, 1]
+    np.testing.assert_allclose(w @ A, w * (1 - x), rtol=0, atol=1e-14)
+
+
+def test_gauss_partial_matrix_cached_and_read_only():
+    A = gauss_partial_matrix(8)
+    assert gauss_partial_matrix(8) is A
+    with pytest.raises(ValueError):
+        A[0, 0] = 0.0
 
 
 def test_adaptive_nd_product_2d():
