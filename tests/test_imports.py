@@ -58,6 +58,10 @@ def references(source: str, name: str) -> list:
                        and any(a.name == name for a in node.names))})
 
 
+# the numpy.polynomial.legendre module and every helper in it
+LEGENDRE_NAMES = ("legendre", *np.polynomial.legendre.__all__)
+
+
 def test_scan_finds_a_reference():
     src = ("import numpy as np\nfrom numpy.polynomial.legendre import leggauss\n"
            "x = np.polynomial.legendre.leggauss(8)\n")
@@ -68,10 +72,6 @@ def test_scan_finds_a_reference():
 
 
 SRC = sorted((ROOT / "src" / "abtroika").glob("*.py"))
-
-
-# the numpy.polynomial.legendre module and every helper in it
-LEGENDRE_NAMES = ("legendre", *np.polynomial.legendre.__all__)
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
