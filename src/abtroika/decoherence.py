@@ -277,8 +277,15 @@ def _log_bound_sq(x, orders):
     """log min(1, (x/2)^m / m!)^2 for m = 0 .. orders - 1: a bound on J_m(x')^2
     for every 0 <= x' <= x (|J_m| <= 1 and DLMF 10.14.4)."""
     m = np.arange(orders)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(orders)])
+    log_fact = np.cumsum(np.log(np.maximum(m, 1)))  # log m! = Sum_{j <= m} log j
     return np.minimum(2.0 * (m * math.log(x / 2.0) - log_fact), 0.0)
+
+
+def _miller_start(x_max, n0):
+    """The smallest order N > n0 with (b_N / b_n0)^2 <= _START_TOL, b_m the
+    bound of _log_bound_sq at x_max."""
+    log_b2 = _log_bound_sq(x_max, 2 * n0 + 41)
+    return n0 + 1 + int(np.argmax(log_b2[n0 + 1:] <= math.log(_START_TOL) + log_b2[n0]))
 
 
 def _bessel_square_sums(x, c):
@@ -297,9 +304,7 @@ def _bessel_square_sums(x, c):
     10.23.3), accumulated over the same loop.
     """
     top = c.shape[-1] - 1
-    n0 = max(top, math.ceil(x.max()))
-    log_b2 = _log_bound_sq(float(x.max()), 2 * n0 + 41)
-    start = n0 + 1 + int(np.argmax(log_b2[n0 + 1:] <= math.log(_START_TOL) + log_b2[n0]))
+    start = _miller_start(float(x.max()), max(top, math.ceil(x.max())))
     two_over_x = 2.0 / x
     j_up = np.zeros_like(x)
     j = np.ones_like(x)

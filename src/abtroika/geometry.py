@@ -103,23 +103,31 @@ class TrajectoryHalfCircle:
             return arc, spd
         t_ramp = eta * T
         tc = np.clip(t, 0.0, None)
+        spd = np.where(t >= 0.0, u, 0.0)
+        arc = np.asarray(u * t_ramp / 2 + u * (tc - t_ramp))  # an array for 0-d t too
+        # only times inside the ramp (t < 0 included, where both terms are
+        # 0) take the sin^2 profile: speed = u sin^2(pi t / (2 t_ramp))
         in_ramp = tc < t_ramp
-        # speed = u sin^2(pi t / (2 t_ramp)) during the ramp
-        spd = np.where(in_ramp, u * np.sin(np.pi * tc / (2 * t_ramp)) ** 2, u)
-        spd = np.where(t >= 0.0, spd, 0.0)
-        arc_ramp = u * (tc / 2 - (t_ramp / (2 * np.pi)) * np.sin(np.pi * tc / t_ramp))
-        arc = np.where(in_ramp, arc_ramp, u * t_ramp / 2 + u * (tc - t_ramp))
+        ramp = tc[in_ramp]
+        spd[in_ramp] = u * np.sin(np.pi * ramp / (2 * t_ramp)) ** 2
+        arc[in_ramp] = u * (ramp / 2 - (t_ramp / (2 * np.pi)) * np.sin(np.pi * ramp / t_ramp))
         return arc, spd
 
-    def point_velocity_extended(self, t):
-        """Position (N,3) and velocity (N,3) for arbitrary t (see _arc_speed)."""
-        t = np.asarray(t, dtype=float)
+    def angle_speed(self, t):
+        """Orbit angle phi and signed tangential speed v_s at times t (array
+        ok, see _arc_speed): the position is R (cos phi, sin phi, 0) and the
+        velocity v_s (-sin phi, cos phi, 0)."""
         arc, spd = self._arc_speed(t)
-        phi = self.start_angle + self.angle_rate_sign * arc / self.radius
+        sign = self.angle_rate_sign
+        return self.start_angle + sign * arc / self.radius, sign * spd
+
+    def point_velocity_extended(self, t):
+        """Position (N,3) and velocity (N,3) for arbitrary t, built from
+        angle_speed."""
+        phi, v_s = self.angle_speed(t)
         c, s = np.cos(phi), np.sin(phi)
         pos = np.stack([self.radius * c, self.radius * s, np.zeros_like(phi)], axis=-1)
-        tang = self.angle_rate_sign * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
-        vel = spd[..., None] * tang
+        vel = v_s[..., None] * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
         return pos, vel
 
     def acceleration(self, t, pos, vel):

@@ -256,13 +256,18 @@ def retarded_time_solve(traj, x, t):
     Vectorized over x of shape (N, 3); t may be scalar or (N,).
 
     Safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) from the
-    static guess t - |x - x_el(t)|: the slope g' = -1 + n.v comes with the
-    position, a step that leaves the bracket [lo, hi] falls back to its
-    midpoint, and only unconverged points are iterated.  A point stops when
-    its step is below 4 eps t or its defect is at rounding level.
-    Returns (t_r, points, pos, vel): t_r of shape (N,), the indices of the
-    reached points, and the source position and velocity (len(points), 3)
-    at each one's last iterate, which lies within rounding of its t_r.
+    static guess t - |x - x_el(t)|: a step that leaves the bracket [lo, hi]
+    falls back to its midpoint, and only unconverged points are iterated.
+    A point stops when its step is below 4 eps t or its defect is at
+    rounding level.  The defect is taken in the orbit's angle phi from
+    traj.angle_speed, on 1-D arrays: the source sits at R (cos phi,
+    sin phi, 0) with velocity v_s (-sin phi, cos phi, 0), so
+    r^2 = (x - R cos phi)^2 + (y - R sin phi)^2 + z^2, and since
+    x_el . v = 0 the slope is g' = -1 + n.v = -1 + v_s (y cos phi -
+    x sin phi) / r.
+    Returns (t_r, points, pos, vel): t_r of shape (N,), the ascending
+    indices of the reached points, and the source position and velocity
+    (len(points), 3) at their t_r.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -271,26 +276,34 @@ def retarded_time_solve(traj, x, t):
         raise ValueError("t must be >= 0")
 
     pos0, _ = traj.point_velocity_extended(np.zeros(1))
-    reached = t - np.linalg.norm(x - pos0, axis=-1) >= 0.0
-    idx = np.flatnonzero(reached)
-    pos, _ = traj.point_velocity_extended(t[idx])
+    points = np.flatnonzero(t - np.linalg.norm(x - pos0, axis=-1) >= 0.0)
+    R = traj.radius
+    px, py, pz2 = x[:, 0], x[:, 1], x[:, 2] ** 2
+
+    def distance(idx, ti):
+        """|x - x_el(ti)| and x . v(ti) at the points idx."""
+        phi, v_s = traj.angle_speed(ti)
+        c, s = np.cos(phi), np.sin(phi)
+        xi, yi = px[idx], py[idx]
+        dx, dy = xi - R * c, yi - R * s
+        return np.sqrt(dx * dx + dy * dy + pz2[idx]), v_s * (yi * c - xi * s)
+
     tr = np.full(n, np.nan)
-    finished = [(idx[:0], np.empty((0, 3)), np.empty((0, 3)))]
-    tr[idx] = np.clip(t[idx] - np.linalg.norm(x[idx] - pos, axis=-1), 0.0, t[idx])
+    tp = t[points]
+    tr[points] = np.clip(tp - distance(points, tp)[0], 0.0, tp)
     lo = np.zeros(n)
     hi = t.copy()
     eps = np.finfo(float).eps
     xtol = 4.0 * eps * t
-    gtol = 8.0 * eps * (t + traj.radius)  # rounding level of the defect
+    gtol = 8.0 * eps * (t + R)  # rounding level of the defect
+    idx = points
     for _ in range(_RETARDED_MAX_ITER):
         if idx.size == 0:
             break
         ti = tr[idx]
-        pos, vel = traj.point_velocity_extended(ti)
-        rvec = x[idx] - pos
-        r = np.linalg.norm(rvec, axis=-1)
+        r, xv = distance(idx, ti)
         g = (t[idx] - ti) - r
-        slope = np.einsum("ij,ij->i", rvec, vel) / np.where(r > 0.0, r, 1.0) - 1.0
+        slope = xv / np.where(r > 0.0, r, 1.0) - 1.0
         lo_i = np.where(g > 0.0, ti, lo[idx])
         hi_i = np.where(g < 0.0, ti, hi[idx])
         step = ti - g / slope
@@ -299,17 +312,12 @@ def retarded_time_solve(traj, x, t):
         step = np.where(bisect, 0.5 * (lo_i + hi_i), step)
         done = (np.abs(step - ti) <= xtol[idx]) | (~bisect & (np.abs(g) <= gtol[idx]))
         tr[idx], lo[idx], hi[idx] = step, lo_i, hi_i
-        if done.any():
-            # kept in finishing order: a scatter into (N, 3) arrays costs
-            # more than evaluating the trajectory again
-            finished.append((idx[done], pos.compress(done, axis=0),
-                             vel.compress(done, axis=0)))
         idx = idx[~done]
     if idx.size:
         raise QuadratureError(
             f"retarded-time solve did not converge in {_RETARDED_MAX_ITER} "
             f"iterations at {idx.size} points")
-    return (tr,) + tuple(np.concatenate(parts) for parts in zip(*finished))
+    return (tr, points) + traj.point_velocity_extended(tr[points])
 
 
 def loglog_slope(samples):

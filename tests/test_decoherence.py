@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import jn_zeros, jv
@@ -306,6 +308,50 @@ def test_current_current_order_cut_tail(monkeypatch, beta, lam, k_max, segments)
         # from the tolerance
         no_margin, _ = _dropped_orders(beta, s, hi, int(np.ceil(hi)))
         assert no_margin[0] > 1e6 * decoherence._CUT_TOL * scale
+
+
+def _lgamma_log_bound_sq(x, orders):
+    """Reference form of the order bound, log-factorials from math.lgamma."""
+    m = np.arange(orders)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(orders)])
+    return np.minimum(2.0 * (m * math.log(x / 2.0) - log_fact), 0.0)
+
+
+def _default_and_benchmark_sweeps():
+    """(beta, lam, k_max) of the default config's decoherence sweep and of
+    the benchmark's decoherence-sweep workload (kmax_sigma_physical = 8)."""
+    cfg = RunConfig()
+    points = [(b, lam, cfg.kmax_sigma_physical / (lam * cfg.radius))
+              for b in cfg.sweep_beta for lam in cfg.sweep_lambda]
+    return points + [(b, lam, 8.0 / lam) for b in (0.05, 0.1, 0.2) for lam in (2.0, 4.0)]
+
+
+def test_log_bound_cumulative_log_factorials_keep_every_cut(monkeypatch):
+    # the cumulative sum of log m agrees with lgamma to rounding (the bound
+    # itself to 1e-12 relative), and on every segment of both sweeps it
+    # keeps the order cut M and the Miller start, so a(T) is unchanged
+    orders = 2 * 80 + 41
+    np.testing.assert_allclose(decoherence._log_bound_sq(80.0, orders),
+                               _lgamma_log_bound_sq(80.0, orders), rtol=0, atol=1e-12)
+    cuts = []
+
+    def spy(x, c):
+        cuts.append((c.shape[-1] - 1, float(x.max())))
+        return np.zeros(c.shape[:1] + x.shape)
+
+    monkeypatch.setattr(decoherence, "_bessel_square_sums", spy)
+
+    def segment_cuts(bound):
+        monkeypatch.setattr(decoherence, "_log_bound_sq", bound)
+        cuts.clear()
+        for beta, lam, k_max in _default_and_benchmark_sweeps():
+            a_current_current(beta, lam, 1.0, k_max=k_max)
+        return [(top, decoherence._miller_start(x_max, max(top, math.ceil(x_max))))
+                for top, x_max in cuts]
+
+    cumulative = segment_cuts(decoherence._log_bound_sq)
+    assert len(cumulative) == sum(math.ceil(k) for *_, k in _default_and_benchmark_sweeps())
+    assert cumulative == segment_cuts(_lgamma_log_bound_sq)
 
 
 def test_current_current_tiny_arguments():

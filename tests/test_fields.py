@@ -37,12 +37,15 @@ class _UniformCircularOrbit:
         self.phase = phase
         self.charge = charge
 
+    def angle_speed(self, t):
+        phi = self.phase + self.speed * np.asarray(t, dtype=float) / self.radius
+        return phi, np.full_like(phi, self.speed)
+
     def point_velocity_extended(self, t):
-        t = np.asarray(t, dtype=float)
-        phi = self.phase + self.speed * t / self.radius
+        phi, v_s = self.angle_speed(t)
         c, s = np.cos(phi), np.sin(phi)
         pos = np.stack([self.radius * c, self.radius * s, np.zeros_like(phi)], axis=-1)
-        vel = self.speed * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
+        vel = v_s[..., None] * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
         return pos, vel
 
 
@@ -299,8 +302,8 @@ def test_retarded_static_loop_oracle():
 
 
 def test_retarded_point_reuses_the_solver_state(monkeypatch):
-    # the potential comes from the source state of the solver's last
-    # iterate; re-evaluating the trajectory at t_r gives the same field
+    # the potential comes from the solver's source state, which is the
+    # trajectory at t_r, so re-evaluating it there gives the same field
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(9).uniform(-6.0, 6.0, (2000, 3))
@@ -325,7 +328,7 @@ def test_retarded_point_reuses_the_solver_state(monkeypatch):
     points.clear()
     retarded_time_solve(traj, x, t)
     assert field_points == sum(points)  # no lookup beyond the solver's own
-    np.testing.assert_allclose(A, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    np.testing.assert_array_equal(A, expected)
 
 
 def test_retarded_mirror_antisymmetry():

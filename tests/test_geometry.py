@@ -70,6 +70,47 @@ def test_ramp_speed_profile():
     np.testing.assert_allclose(np.linalg.norm(pos, axis=-1), 1.0, atol=1e-12)
 
 
+def _full_array_arc_speed(traj, t):
+    """Oracle: the sin^2 ramp's arc and speed evaluated at every time, and
+    selected afterwards."""
+    t = np.asarray(t, dtype=float)
+    u, t_ramp = traj.speed, traj.ramp_fraction * traj.traverse_time
+    tc = np.clip(t, 0.0, None)
+    in_ramp = tc < t_ramp
+    spd = np.where(in_ramp, u * np.sin(np.pi * tc / (2 * t_ramp)) ** 2, u)
+    spd = np.where(t >= 0.0, spd, 0.0)
+    arc_ramp = u * (tc / 2 - (t_ramp / (2 * np.pi)) * np.sin(np.pi * tc / t_ramp))
+    return np.where(in_ramp, arc_ramp, u * t_ramp / 2 + u * (tc - t_ramp)), spd
+
+
+@pytest.mark.parametrize("t_over_T", [
+    -0.3, 0.0, 0.004, 0.01, 0.7, 1.2,
+    np.linspace(-0.1, 1.1, 1201), np.array([-1.0, 0.0, 0.005, 0.01, 2.0])])
+def test_ramp_arc_speed_matches_full_array_form(t_over_T):
+    # the ramp terms are evaluated only inside [0, eta T): before t = 0,
+    # inside the ramp, after it and on 0-d input the values are unchanged
+    traj = make_traj(beta=0.3, eta=0.01)
+    t = np.asarray(t_over_T) * traj.traverse_time
+    got = traj._arc_speed(t)
+    for g, ref in zip(got, _full_array_arc_speed(traj, t)):
+        assert np.shape(g) == np.shape(t)
+        assert np.asarray(g).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("sense", list(Sense))
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_angle_speed_gives_position_and_velocity(sense, eta):
+    traj = make_traj(sense, beta=0.4, eta=eta)
+    t = np.linspace(-0.1, 1.1, 97) * traj.traverse_time
+    phi, v_s = traj.angle_speed(t)
+    pos, vel = traj.point_velocity_extended(t)
+    np.testing.assert_array_equal(pos[:, :2], np.stack([np.cos(phi), np.sin(phi)], -1))
+    np.testing.assert_array_equal(vel[:, :2], v_s[:, None] * np.stack(
+        [-np.sin(phi), np.cos(phi)], -1))
+    np.testing.assert_allclose(np.abs(v_s), np.linalg.norm(vel, axis=-1), rtol=1e-15)
+    assert np.all(pos[:, 2] == 0.0) and np.all(vel[:, 2] == 0.0)
+
+
 def test_mirror_map_basics():
     np.testing.assert_allclose(mirror_map([1.0, 2.0, 3.0]), [-1.0, 2.0, -3.0])
     x = np.array([0.3, -1.2, 0.7])

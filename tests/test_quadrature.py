@@ -406,16 +406,20 @@ def _bisection_retarded_time(traj, x, t, iterations=70):
     return np.where(reached, 0.5 * (lo + hi), np.nan)
 
 
-def _record_position_calls(monkeypatch):
-    """List that receives the number of times of every trajectory lookup."""
+def _record_angle_calls(monkeypatch):
+    """List that receives the number of times of every orbit-angle lookup.
+
+    One solve makes, in order: the front test at t = 0 and the static guess,
+    one lookup per Newton pass, and the final state at t_r (the front test
+    and the final state through point_velocity_extended)."""
     sizes = []
-    original = TrajectoryHalfCircle.point_velocity_extended
+    original = TrajectoryHalfCircle.angle_speed
 
     def counted(self, t):
         sizes.append(np.size(t))
         return original(self, t)
 
-    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+    monkeypatch.setattr(TrajectoryHalfCircle, "angle_speed", counted)
     return sizes
 
 
@@ -436,9 +440,9 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     front = start + (t * scale)[:, None] * dirs
     x = np.vstack([cloud, front, start[None, :]])
 
-    calls = _record_position_calls(monkeypatch)
+    calls = _record_angle_calls(monkeypatch)
     tr = retarded_time_solve(traj, x, t)[0]
-    newton_iterations = len(calls) - 2  # the front test and the static guess
+    newton_passes = len(calls) - 3  # the front test, static guess and final state
 
     ref = _bisection_retarded_time(traj, x, t)
     np.testing.assert_array_equal(np.isnan(tr), np.isnan(ref))
@@ -446,18 +450,38 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     assert ok.any()
     assert np.all(np.abs(tr[ok] - ref[ok]) <= 1e-13 * t)
     assert np.all((tr[ok] >= 0.0) & (tr[ok] <= t))
-    assert newton_iterations < quadrature._RETARDED_MAX_ITER
+    assert 1 <= newton_passes < quadrature._RETARDED_MAX_ITER
 
 
 def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(3).uniform(-4, 4, (4000, 3))
-    points = _record_position_calls(monkeypatch)
-    retarded_time_solve(traj, x, t)
+    points = _record_angle_calls(monkeypatch)
+    reached = retarded_time_solve(traj, x, t)[1].size
+    assert points[0] == 1 and points[1] == points[-1] == reached
+    passes = points[2:-1]
+    assert passes and passes[0] == reached
     # every later pass works on a shrinking subset; bisection would spend 71 N
-    assert all(b <= a for a, b in zip(points[2:], points[3:]))
+    assert all(b <= a for a, b in zip(passes, passes[1:]))
     assert sum(points) < 8 * len(x)
+
+
+def test_retarded_time_looks_up_positions_at_most_twice(monkeypatch):
+    # once for the front test, once for the source state at t_r
+    traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
+    x = np.random.default_rng(4).uniform(-6, 6, (2000, 3))
+    calls = []
+    original = TrajectoryHalfCircle.point_velocity_extended
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+    reached = retarded_time_solve(traj, x, traj.traverse_time)[1].size
+    assert 0 < reached < len(x)
+    assert calls == [1, reached]
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.9])
@@ -468,11 +492,10 @@ def test_retarded_time_state_is_source_at_retarded_time(beta):
     tr, points, pos, vel = retarded_time_solve(traj, x, t)
     reached = np.flatnonzero(~np.isnan(tr))
     assert 0 < reached.size < len(x)
-    np.testing.assert_array_equal(np.sort(points), reached)
-    # the last iterate lies within rounding of t_r, so the source state does too
+    np.testing.assert_array_equal(points, reached)
     ref_pos, ref_vel = traj.point_velocity_extended(tr[points])
-    np.testing.assert_allclose(pos, ref_pos, rtol=0, atol=1e-12 * t)
-    np.testing.assert_allclose(vel, ref_vel, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(pos, ref_pos)
+    np.testing.assert_array_equal(vel, ref_vel)
 
 
 def test_loglog_slope_powers():
