@@ -406,20 +406,22 @@ def _bisection_retarded_time(traj, x, t, iterations=70):
     return np.where(reached, 0.5 * (lo + hi), np.nan)
 
 
-def _record_angle_calls(monkeypatch):
-    """List that receives the number of times of every orbit-angle lookup.
+def _record_calls(monkeypatch, method):
+    """List that receives the number of times of every call of the
+    trajectory method.
 
-    One solve makes, in order: the front test at t = 0 and the static guess,
-    one lookup per Newton pass, and the final state at t_r (the front test
-    and the final state through point_velocity_extended)."""
+    With method = "angle_speed", one solve makes, in order: the front test
+    at t = 0 and the static guess, one call per Newton pass, and the final
+    state at t_r (the front test and the final state through
+    point_velocity_extended)."""
     sizes = []
-    original = TrajectoryHalfCircle.angle_speed
+    original = getattr(TrajectoryHalfCircle, method)
 
     def counted(self, t):
         sizes.append(np.size(t))
         return original(self, t)
 
-    monkeypatch.setattr(TrajectoryHalfCircle, "angle_speed", counted)
+    monkeypatch.setattr(TrajectoryHalfCircle, method, counted)
     return sizes
 
 
@@ -440,7 +442,7 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     front = start + (t * scale)[:, None] * dirs
     x = np.vstack([cloud, front, start[None, :]])
 
-    calls = _record_angle_calls(monkeypatch)
+    calls = _record_calls(monkeypatch, "angle_speed")
     tr = retarded_time_solve(traj, x, t)[0]
     newton_passes = len(calls) - 3  # the front test, static guess and final state
 
@@ -457,7 +459,7 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(3).uniform(-4, 4, (4000, 3))
-    points = _record_angle_calls(monkeypatch)
+    points = _record_calls(monkeypatch, "angle_speed")
     reached = retarded_time_solve(traj, x, t)[1].size
     assert points[0] == 1 and points[1] == points[-1] == reached
     passes = points[2:-1]
@@ -471,14 +473,7 @@ def test_retarded_time_looks_up_positions_at_most_twice(monkeypatch):
     # once for the front test, once for the source state at t_r
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     x = np.random.default_rng(4).uniform(-6, 6, (2000, 3))
-    calls = []
-    original = TrajectoryHalfCircle.point_velocity_extended
-
-    def counted(self, t):
-        calls.append(np.size(t))
-        return original(self, t)
-
-    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+    calls = _record_calls(monkeypatch, "point_velocity_extended")
     reached = retarded_time_solve(traj, x, traj.traverse_time)[1].size
     assert 0 < reached < len(x)
     assert calls == [1, reached]
