@@ -121,6 +121,19 @@ class TrajectoryHalfCircle:
         sign = self.angle_rate_sign
         return self.start_angle + sign * arc / self.radius, sign * spd
 
+    def separation(self, x, t):
+        """Distance r = |x - x_el(t)| from the source to the points x (N, 3)
+        and (x - x_el(t)) . v(t), at times t (N,), on 1-D arrays.
+
+        On the circle x_el . v = 0, so the second is x . v =
+        v_s (y cos phi - x sin phi) (phi, v_s from angle_speed), and no
+        (N, 3) source position or velocity is formed."""
+        phi, v_s = self.angle_speed(t)
+        c, s = np.cos(phi), np.sin(phi)
+        px, py, pz = x[:, 0], x[:, 1], x[:, 2]
+        dx, dy = px - self.radius * c, py - self.radius * s
+        return np.sqrt(dx * dx + dy * dy + pz * pz), v_s * (py * c - px * s)
+
     def point_velocity_extended(self, t):
         """Position (N,3) and velocity (N,3) for arbitrary t, built from
         angle_speed."""

@@ -259,12 +259,10 @@ def retarded_time_solve(traj, x, t):
     static guess t - |x - x_el(t)|: a step that leaves the bracket [lo, hi]
     falls back to its midpoint, and only unconverged points are iterated.
     A point stops when its step is below 4 eps t or its defect is at
-    rounding level.  The defect is taken in the orbit's angle phi from
-    traj.angle_speed, on 1-D arrays: the source sits at R (cos phi,
-    sin phi, 0) with velocity v_s (-sin phi, cos phi, 0), so
-    r^2 = (x - R cos phi)^2 + (y - R sin phi)^2 + z^2, and since
-    x_el . v = 0 the slope is g' = -1 + n.v = -1 + v_s (y cos phi -
-    x sin phi) / r.
+    rounding level.  Each pass takes r = |x - x_el(t_r)| and
+    (x - x_el) . v from traj.separation on 1-D arrays (the trajectory
+    knows its own shape), so the slope is g' = -1 + n.v =
+    -1 + (x - x_el) . v / r.
     Returns (t_r, points, pos, vel): t_r of shape (N,), the ascending
     indices of the reached points, and the source position and velocity
     (len(points), 3) at their t_r.
@@ -277,33 +275,23 @@ def retarded_time_solve(traj, x, t):
 
     pos0, _ = traj.point_velocity_extended(np.zeros(1))
     points = np.flatnonzero(t - np.linalg.norm(x - pos0, axis=-1) >= 0.0)
-    R = traj.radius
-    px, py, pz2 = x[:, 0], x[:, 1], x[:, 2] ** 2
-
-    def distance(idx, ti):
-        """|x - x_el(ti)| and x . v(ti) at the points idx."""
-        phi, v_s = traj.angle_speed(ti)
-        c, s = np.cos(phi), np.sin(phi)
-        xi, yi = px[idx], py[idx]
-        dx, dy = xi - R * c, yi - R * s
-        return np.sqrt(dx * dx + dy * dy + pz2[idx]), v_s * (yi * c - xi * s)
-
     tr = np.full(n, np.nan)
     tp = t[points]
-    tr[points] = np.clip(tp - distance(points, tp)[0], 0.0, tp)
+    tr[points] = np.clip(tp - traj.separation(x.take(points, axis=0), tp)[0], 0.0, tp)
     lo = np.zeros(n)
     hi = t.copy()
     eps = np.finfo(float).eps
     xtol = 4.0 * eps * t
-    gtol = 8.0 * eps * (t + R)  # rounding level of the defect
+    gtol = 8.0 * eps * (t + traj.radius)  # rounding level of the defect
     idx = points
     for _ in range(_RETARDED_MAX_ITER):
         if idx.size == 0:
             break
         ti = tr[idx]
-        r, xv = distance(idx, ti)
+        # take: a row gather several times faster than x[idx]
+        r, rv = traj.separation(x.take(idx, axis=0), ti)
         g = (t[idx] - ti) - r
-        slope = xv / np.where(r > 0.0, r, 1.0) - 1.0
+        slope = rv / np.where(r > 0.0, r, 1.0) - 1.0
         lo_i = np.where(g > 0.0, ti, lo[idx])
         hi_i = np.where(g < 0.0, ti, hi[idx])
         step = ti - g / slope

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from abtroika.decoherence import (
 )
 from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
 from abtroika.quadrature import QuadratureError, loglog_slope
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ------------------------------------------------------------ reduced terms
@@ -319,11 +323,15 @@ def _lgamma_log_bound_sq(x, orders):
 
 def _default_and_benchmark_sweeps():
     """(beta, lam, k_max) of the default config's decoherence sweep and of
-    the benchmark's decoherence-sweep workload (kmax_sigma_physical = 8)."""
-    cfg = RunConfig()
-    points = [(b, lam, cfg.kmax_sigma_physical / (lam * cfg.radius))
-              for b in cfg.sweep_beta for lam in cfg.sweep_lambda]
-    return points + [(b, lam, 8.0 / lam) for b in (0.05, 0.1, 0.2) for lam in (2.0, 4.0)]
+    the benchmark's decoherence-sweep workload, read from
+    perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = RunConfig.from_text(workloads.config_text("decoherence-sweep", 1))
+    return [(b, lam, cfg.kmax_sigma_physical / (lam * cfg.radius))
+            for cfg in (RunConfig(), bench)
+            for b in cfg.sweep_beta for lam in cfg.sweep_lambda]
 
 
 def test_log_bound_cumulative_log_factorials_keep_every_cut(monkeypatch):

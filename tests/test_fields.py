@@ -37,16 +37,19 @@ class _UniformCircularOrbit:
         self.phase = phase
         self.charge = charge
 
-    def angle_speed(self, t):
-        phi = self.phase + self.speed * np.asarray(t, dtype=float) / self.radius
-        return phi, np.full_like(phi, self.speed)
-
     def point_velocity_extended(self, t):
-        phi, v_s = self.angle_speed(t)
+        t = np.asarray(t, dtype=float)
+        phi = self.phase + self.speed * t / self.radius
         c, s = np.cos(phi), np.sin(phi)
         pos = np.stack([self.radius * c, self.radius * s, np.zeros_like(phi)], axis=-1)
-        vel = v_s[..., None] * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
+        vel = self.speed * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
         return pos, vel
+
+    def separation(self, x, t):
+        # the general form, from the (N, 3) position and velocity
+        pos, vel = self.point_velocity_extended(t)
+        rvec = x - pos
+        return np.linalg.norm(rvec, axis=-1), np.einsum("ij,ij->i", rvec, vel)
 
 
 def circle_points(radius, n, z=0.0):

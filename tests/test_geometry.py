@@ -111,6 +111,21 @@ def test_angle_speed_gives_position_and_velocity(sense, eta):
     assert np.all(pos[:, 2] == 0.0) and np.all(vel[:, 2] == 0.0)
 
 
+@pytest.mark.parametrize("sense", list(Sense))
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_separation_matches_position_and_velocity(sense, eta):
+    # r and (x - x_el) . v from the angle agree with the (N, 3) form
+    traj = make_traj(sense, beta=0.4, eta=eta)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3.0, 3.0, (400, 3))
+    t = rng.uniform(-0.1, 1.1, 400) * traj.traverse_time
+    r, rv = traj.separation(x, t)
+    pos, vel = traj.point_velocity_extended(t)
+    rvec = x - pos
+    np.testing.assert_allclose(r, np.linalg.norm(rvec, axis=-1), rtol=1e-14)
+    np.testing.assert_allclose(rv, np.einsum("ij,ij->i", rvec, vel), rtol=0, atol=1e-14)
+
+
 def test_mirror_map_basics():
     np.testing.assert_allclose(mirror_map([1.0, 2.0, 3.0]), [-1.0, 2.0, -3.0])
     x = np.array([0.3, -1.2, 0.7])

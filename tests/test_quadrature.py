@@ -406,22 +406,24 @@ def _bisection_retarded_time(traj, x, t, iterations=70):
     return np.where(reached, 0.5 * (lo + hi), np.nan)
 
 
-def _record_calls(monkeypatch, method):
-    """List that receives the number of times of every call of the
-    trajectory method.
+def _record_calls(monkeypatch, *methods):
+    """List that receives, in call order, the number of times of every call
+    of the listed trajectory methods (the times are the last argument).
 
-    With method = "angle_speed", one solve makes, in order: the front test
-    at t = 0 and the static guess, one call per Newton pass, and the final
-    state at t_r (the front test and the final state through
-    point_velocity_extended)."""
+    One solve makes, in order: the front test at t = 0
+    (point_velocity_extended), the static guess and one call per Newton
+    pass (separation), and the final state at t_r (point_velocity_extended)."""
     sizes = []
-    original = getattr(TrajectoryHalfCircle, method)
 
-    def counted(self, t):
-        sizes.append(np.size(t))
-        return original(self, t)
+    def counted(original):
+        def call(self, *args):
+            sizes.append(np.size(args[-1]))
+            return original(self, *args)
+        return call
 
-    monkeypatch.setattr(TrajectoryHalfCircle, method, counted)
+    for method in methods:
+        monkeypatch.setattr(TrajectoryHalfCircle, method,
+                            counted(getattr(TrajectoryHalfCircle, method)))
     return sizes
 
 
@@ -442,9 +444,9 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     front = start + (t * scale)[:, None] * dirs
     x = np.vstack([cloud, front, start[None, :]])
 
-    calls = _record_calls(monkeypatch, "angle_speed")
+    calls = _record_calls(monkeypatch, "separation")
     tr = retarded_time_solve(traj, x, t)[0]
-    newton_passes = len(calls) - 3  # the front test, static guess and final state
+    newton_passes = len(calls) - 1  # the static guess
 
     ref = _bisection_retarded_time(traj, x, t)
     np.testing.assert_array_equal(np.isnan(tr), np.isnan(ref))
@@ -459,7 +461,7 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(3).uniform(-4, 4, (4000, 3))
-    points = _record_calls(monkeypatch, "angle_speed")
+    points = _record_calls(monkeypatch, "point_velocity_extended", "separation")
     reached = retarded_time_solve(traj, x, t)[1].size
     assert points[0] == 1 and points[1] == points[-1] == reached
     passes = points[2:-1]
