@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -108,6 +107,10 @@ def stage_decoherence(cfg: RunConfig, out_dir: str, jobs: int = 1):
     points = list(dict.fromkeys([(cfg.beta, cfg.lam)] + grid))
     work = functools.partial(_overlap_point, cfg)
     if jobs > 1:
+        # imported here: the pool loads multiprocessing, which a serial run
+        # never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forking pool starts all its workers at once: no more than points
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = dict(zip(points, pool.map(work, points)))

@@ -490,8 +490,10 @@ def phase_c1_check(traj_right: TrajectoryHalfCircle, smear: SmearingProfile,
         s, d = fields(pts)
         return 0.5 * np.linalg.norm(s, axis=-1) * np.linalg.norm(d, axis=-1)
 
-    value, _ = cylinder_integral(f_signed, (1e-9, rho_max), z_max, n_phi, spec)
-    scale, _ = cylinder_integral(f_abs, (1e-9, rho_max), z_max, n_phi, spec)
+    value, _ = cylinder_integral(lambda nodes, ring_mean: ring_mean(f_signed),
+                                 (1e-9, rho_max), z_max, n_phi, spec)
+    scale, _ = cylinder_integral(lambda nodes, ring_mean: ring_mean(f_abs),
+                                 (1e-9, rho_max), z_max, n_phi, spec)
     return value, scale
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .geometry import (
     SmearingProfile,
+    SmearKind,
     SolenoidKind,
     SolenoidModel,
     TrajectoryHalfCircle,
@@ -267,36 +268,39 @@ def _retarded_point(traj, x, t, derivative=False):
     A = q v / (4 pi D) with D = r - r_vec . v, everything at t_r.  Since
     dt_r/dt = r / D and dD/dt_r = -n.v + v^2 - r_vec . a (Jackson 14.1),
     dA/dt = q/(4 pi) (r/D) [a/D - v (dD/dt_r)/D^2].  Both vanish where the
-    start-up signal has not arrived.
+    start-up signal has not arrived.  The solver's source terms give the
+    scalars and the (x, y) components on 1-D arrays; the orbit is planar,
+    so both z components are 0.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.zeros((x.shape[0], 3))
     if np.all(np.asarray(t) <= 0.0):
         return out  # currents vanish before the motion starts
-    tr, reached, pos, vel = retarded_time_solve(traj, x, t)
-    rvec = x[reached] - pos
-    r = np.linalg.norm(rvec, axis=-1)
-    rv = np.einsum("ij,ij->i", rvec, vel)
+    _, reached, (r, rv, ra, v2, vel, acc) = retarded_time_solve(traj, x, t)
     denom = r - rv
     if np.any(denom < 1e-12 * max(traj.radius, 1.0)):
         raise SingularFieldPoint("field point on the electron itself")
     q = traj.charge
     if not derivative:
-        out[reached] = q * vel / (4 * np.pi * denom[:, None])
+        scale = q / (4 * np.pi * denom)
+        for i in (0, 1):
+            out[reached, i] = scale * vel[i]
         return out
-    acc = traj.acceleration(tr[reached], pos, vel)
-    d_denom = np.einsum("ij,ij->i", vel, vel) - rv / r - np.einsum("ij,ij->i", rvec, acc)
-    out[reached] = (q * r / (4 * np.pi * denom))[:, None] * (
-        acc / denom[:, None] - vel * (d_denom / denom**2)[:, None])
+    d_denom = v2 - rv / r - ra
+    scale = q * r / (4 * np.pi * denom)
+    for i in (0, 1):
+        out[reached, i] = scale * (acc[i] / denom - vel[i] * (d_denom / denom**2))
     return out
 
 
 def _line_sum(traj, smear, x, t, line_nodes, derivative):
-    """_retarded_point summed over the smearing's Gauss nodes (one node for
-    a point charge): each line element is retarded independently (smear
-    first, retard per element) and the element fields are summed with
-    Gauss weights."""
+    """_retarded_point summed over the smearing's Gauss nodes (a point
+    charge is its one node at offset 0): each line element is retarded
+    independently (smear first, retard per element) and the element fields
+    are summed with Gauss weights."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if smear.kind is SmearKind.POINT:
+        return _retarded_point(traj, x, t, derivative)
     offs, wts = smear.offsets_weights(line_nodes)
     out = np.zeros_like(x)
     shift = np.zeros(3)

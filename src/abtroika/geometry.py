@@ -121,18 +121,62 @@ class TrajectoryHalfCircle:
         sign = self.angle_rate_sign
         return self.start_angle + sign * arc / self.radius, sign * spd
 
-    def separation(self, x, t):
-        """Distance r = |x - x_el(t)| from the source to the points x (N, 3)
-        and (x - x_el(t)) . v(t), at times t (N,), on 1-D arrays.
-
-        On the circle x_el . v = 0, so the second is x . v =
-        v_s (y cos phi - x sin phi) (phi, v_s from angle_speed), and no
-        (N, 3) source position or velocity is formed."""
+    def _seen_from(self, x, t):
+        """cos phi, sin phi and v_s at times t (N,) (see angle_speed), the
+        distance r = |x - x_el(t)| to the points x (N, 3), and the
+        tangential component w = y cos phi - x sin phi of x - x_el(t)."""
         phi, v_s = self.angle_speed(t)
         c, s = np.cos(phi), np.sin(phi)
         px, py, pz = x[:, 0], x[:, 1], x[:, 2]
         dx, dy = px - self.radius * c, py - self.radius * s
-        return np.sqrt(dx * dx + dy * dy + pz * pz), v_s * (py * c - px * s)
+        return c, s, v_s, np.sqrt(dx * dx + dy * dy + pz * pz), py * c - px * s
+
+    def separation(self, x, t):
+        """Distance r = |x - x_el(t)| from the source to the points x (N, 3)
+        and (x - x_el(t)) . v(t), at times t (N,), on 1-D arrays.
+
+        On the circle x_el . v = 0, so the second is x . v = v_s w, and no
+        (N, 3) source position or velocity is formed."""
+        _, _, v_s, r, w = self._seen_from(x, t)
+        return r, v_s * w
+
+    def source_terms(self, x, t):
+        """What the Lienard-Wiechert fields need of the source at times t
+        (N,), seen from the points x (N, 3), on 1-D arrays: r = |r_vec|,
+        r_vec . v and r_vec . a for r_vec = x - x_el(t), v . v, and the
+        (x, y) components of v and of a.  The orbit lies in the plane
+        z = 0, so the z components of v and a are 0.
+
+        The acceleration is the centripetal v_s^2 / R plus, inside the ramp
+        [0, eta T), the sin^2 profile's tangential u pi / (2 eta T)
+        sin(pi t / (eta T)).  An impulsive start (eta = 0) has a
+        delta-function acceleration at t = 0, which is not represented."""
+        c, s, v_s, r, w = self._seen_from(x, t)
+        R = self.radius
+        t = np.asarray(t, dtype=float)
+        t_ramp = self.ramp_fraction * self.traverse_time
+        a_s = np.zeros_like(v_s)  # signed tangential acceleration
+        if t_ramp > 0.0:
+            in_ramp = (t >= 0.0) & (t < t_ramp)
+            a_s[in_ramp] = (self.angle_rate_sign * self.speed * np.pi / (2 * t_ramp)
+                            * np.sin(np.pi * t[in_ramp] / t_ramp))
+        a_c = v_s * v_s / R  # centripetal, towards the axis
+        radial = x[:, 0] * c + x[:, 1] * s - R  # r_vec . (cos phi, sin phi, 0)
+        vel = (-v_s * s, v_s * c)
+        acc = (-a_s * s - a_c * c, a_s * c - a_c * s)
+        return r, v_s * w, a_s * w - a_c * radial, v_s * v_s, vel, acc
+
+    def acceleration_bound(self, t):
+        """An upper bound on |a(s)| over every time s >= t with s >= 0: the
+        centripetal u^2 / R, plus the ramp's largest tangential
+        u pi / (2 eta T) where t < eta T.  From s = 0 on the motion is
+        smooth, so an impulsive start (eta = 0) adds nothing."""
+        bound = self.speed**2 / self.radius
+        t_ramp = self.ramp_fraction * self.traverse_time
+        if t_ramp == 0.0:
+            return np.full(np.shape(t), bound)
+        return np.where(np.asarray(t) < t_ramp,
+                        bound + self.speed * np.pi / (2 * t_ramp), bound)
 
     def point_velocity_extended(self, t):
         """Position (N,3) and velocity (N,3) for arbitrary t, built from
@@ -142,26 +186,6 @@ class TrajectoryHalfCircle:
         pos = np.stack([self.radius * c, self.radius * s, np.zeros_like(phi)], axis=-1)
         vel = v_s[..., None] * np.stack([-s, c, np.zeros_like(phi)], axis=-1)
         return pos, vel
-
-    def acceleration(self, t, pos, vel):
-        """Acceleration (N,3) at times t, from the position and velocity
-        point_velocity_extended gives there: the sin^2 ramp's tangential
-        part u pi/(2 eta T) sin(pi t / (eta T)) inside [0, eta T), plus the
-        centripetal part -|v|^2 (x, y, 0) / R^2.  An impulsive start
-        (eta = 0) has a delta-function acceleration at t = 0, which is not
-        represented."""
-        t = np.asarray(t, dtype=float)
-        R = self.radius
-        acc = -(np.einsum("ij,ij->i", vel, vel) / R**2)[:, None] * pos
-        t_ramp = self.ramp_fraction * self.traverse_time
-        if t_ramp > 0.0:
-            in_ramp = (t >= 0.0) & (t < t_ramp)
-            dspd = np.where(in_ramp, self.speed * np.pi / (2 * t_ramp)
-                            * np.sin(np.pi * t / t_ramp), 0.0)
-            tang = (self.angle_rate_sign / R) * np.stack(
-                [-pos[:, 1], pos[:, 0], np.zeros(len(t))], axis=-1)
-            acc += dspd[:, None] * tang
-        return acc
 
     def mirrored(self) -> "TrajectoryHalfCircle":
         """The opposite-sense traverse (same radius, speed, ramp)."""
@@ -198,8 +222,6 @@ class SmearingProfile:
 
     def offsets_weights(self, n: int = 16):
         """Gauss-Legendre nodes/weights for the line parameter (unit total weight)."""
-        if self.kind is SmearKind.POINT:
-            return np.zeros(1), np.ones(1)
         x, w = gauss_legendre(-0.5, 0.5, n)
         return self.sigma * x, w
 

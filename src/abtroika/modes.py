@@ -306,12 +306,29 @@ def evolve_mode(state: ModeState, dt: float, steps: int) -> ModeState:
             # stage must not drift past the drive support by rounding
             J = state.drive(t0 + (i0 + np.arange(2 * m + 1) / 2) * dt)
         if J is None or not J.any():
+            # the staged step in three buffers, each operation with the
+            # operands in the order of the plain expression
+            # alpha + dt/6 (k1 + 2 k2 + 2 k3 + k4), and 2 k formed as k + k.
+            # A full-shape miw and 0-d complex step factors give the same
+            # products as broadcasting and float scalars, with less overhead
+            # per call.
+            miw_full = np.ascontiguousarray(np.broadcast_to(miw, alpha.shape))
+            half, full, sixth = (np.array(f + 0j) for f in (dt / 2, dt, dt / 6))
+            k, y, acc = (np.empty_like(alpha) for _ in range(3))
             for _ in range(m):
-                k1a = miw * alpha
-                k2a = miw * (alpha + dt / 2 * k1a)
-                k3a = miw * (alpha + dt / 2 * k2a)
-                k4a = miw * (alpha + dt * k3a)
-                alpha = alpha + dt / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                np.multiply(miw_full, alpha, acc)  # k1, then the running sum
+                for k_prev in (acc, k):  # k2, k3 = miw (alpha + dt/2 k_prev)
+                    np.multiply(half, k_prev, y)
+                    y += alpha
+                    np.multiply(miw_full, y, k)
+                    np.add(k, k, y)
+                    acc += y
+                np.multiply(full, k, y)
+                y += alpha
+                np.multiply(miw_full, y, k)  # k4
+                acc += k
+                np.multiply(sixth, acc, acc)
+                alpha += acc
             continue
         # g at the step ends (m + 1 rows) and midpoints (m rows)
         ge, gh = J[0::2] * i_sq, J[1::2] * i_sq

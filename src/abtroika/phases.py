@@ -156,23 +156,33 @@ def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMod
     return 0.5 * model.loop_current * float(np.sum(acc))
 
 
-def cylinder_integral(f_cart, rho_range, z_max, n_phi, spec):
-    """Integral over a cylindrical shell rho in rho_range, |z| <= z_max of a
-    Cartesian-space integrand even in z: phi by midpoint rule (periodic,
-    spectral), (rho, 0 <= z <= z_max) by adaptive cubature pre-split into
-    boxes of about unit size, doubled for z < 0.  Returns (value, error)."""
+def cylinder_integral(f, rho_range, z_max, n_phi, spec):
+    """Integral over a cylindrical shell rho in rho_range, |z| <= z_max of an
+    integrand even in z: phi by midpoint rule (periodic, spectral),
+    (rho, 0 <= z <= z_max) by adaptive cubature pre-split into boxes of about
+    unit size, doubled for z < 0.
+
+    f(nodes, ring_mean) returns the integrand's mean over the ring of each
+    cubature node, given the nodes as the points (rho, 0, z), shape (n, 3),
+    and ring_mean(g): the mean over each node's n_phi ring points of the
+    Cartesian function g, called once on all n * n_phi points (shape
+    (n * n_phi, 3) -> (n * n_phi,)).  Returns (value, error)."""
     phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
     cphi, sphi = np.cos(phis), np.sin(phis)
 
     def integrand(q):
         rho, z = q[:, 0], q[:, 1]
         n = len(rho)
-        pts = np.empty((n * n_phi, 3))
-        pts[:, 0] = (rho[:, None] * cphi[None, :]).ravel()
-        pts[:, 1] = (rho[:, None] * sphi[None, :]).ravel()
-        pts[:, 2] = np.repeat(z, n_phi)
-        vals = f_cart(pts).reshape(n, n_phi)
-        return rho * vals.mean(axis=1) * (2 * np.pi)
+
+        def ring_mean(g):
+            pts = np.empty((n * n_phi, 3))
+            pts[:, 0] = (rho[:, None] * cphi[None, :]).ravel()
+            pts[:, 1] = (rho[:, None] * sphi[None, :]).ravel()
+            pts[:, 2] = np.repeat(z, n_phi)
+            return g(pts).reshape(n, n_phi).mean(axis=1)
+
+        nodes = np.stack([rho, np.zeros(n), z], axis=-1)
+        return rho * f(nodes, ring_mean) * (2 * np.pi)
 
     grid = (max(2, int(np.ceil(rho_range[1] - rho_range[0]))),
             max(2, int(np.ceil(z_max))))
@@ -210,13 +220,21 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     T = traj.traverse_time
     asol_table = solenoid_table(model, rho_max * 1.01, z_max * 1.01)
 
-    def f_cart(pts):
+    def rho_adot_phi(pts):
+        # rho times the azimuthal component of Adot_el: x Adot_y - y Adot_x
         adot = a_dot_electron(traj, smear, pts, T)
-        asol = asol_table(pts)
-        return np.einsum("ij,ij->i", adot, asol)
+        return pts[:, 0] * adot[:, 1] - pts[:, 1] * adot[:, 0]
 
-    inner, err_in = cylinder_integral(f_cart, (1e-9, rho_max / 2), z_max, n_phi, spec)
-    outer, err_out = cylinder_integral(f_cart, (rho_max / 2, rho_max), z_max, n_phi, spec)
+    def ring_integrand(nodes, ring_mean):
+        # A_sol is azimuthal and axisymmetric, so on a ring Adot_el . A_sol
+        # = A_phi(rho, z) Adot_phi: one table lookup per node, at
+        # (rho, 0, z), where the potential's y component is A_phi
+        return asol_table(nodes)[:, 1] * ring_mean(rho_adot_phi) / nodes[:, 0]
+
+    inner, err_in = cylinder_integral(ring_integrand, (1e-9, rho_max / 2), z_max,
+                                      n_phi, spec)
+    outer, err_out = cylinder_integral(ring_integrand, (rho_max / 2, rho_max), z_max,
+                                       n_phi, spec)
     value = 0.5 * (inner + outer)
     return Phi1Result(value=value, tail_estimate=0.5 * abs(outer),
                       quad_error=0.5 * (err_in + err_out))

@@ -258,14 +258,31 @@ def retarded_time_solve(traj, x, t):
     Safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) from the
     static guess t - |x - x_el(t)|: a step that leaves the bracket [lo, hi]
     falls back to its midpoint, and only unconverged points are iterated.
-    A point stops when its step is below 4 eps t or its defect is at
-    rounding level.  Each pass takes r = |x - x_el(t_r)| and
-    (x - x_el) . v from traj.separation on 1-D arrays (the trajectory
-    knows its own shape), so the slope is g' = -1 + n.v =
-    -1 + (x - x_el) . v / r.
-    Returns (t_r, points, pos, vel): t_r of shape (N,), the ascending
-    indices of the reached points, and the source position and velocity
-    (len(points), 3) at their t_r.
+    Each pass takes r = |x - x_el(t_r)| and (x - x_el) . v from
+    traj.separation on 1-D arrays (the trajectory knows its own shape), so
+    the slope is g' = -1 + n.v = -1 + (x - x_el) . v / r.
+
+    A point stops when its step is below 4 eps t, when its defect is at
+    rounding level, or when a Newton step d (not bisected) predicts that
+    its new iterate is already that close: M d^2 <= 4 eps t, with
+    M = (2 u^2 / r + a_max) / (2 (1 - u)), u = traj.speed, r at the old
+    iterate and a_max = traj.acceleration_bound(min(t_r, t_r + d)).  The
+    bound: g(t_r + d) = g(t_r) + g'(t_r) d + g''(xi) d^2 / 2 with xi
+    between t_r and t_r + d, and the first two terms cancel, so by the mean
+    value theorem the root lies within |g''(xi)| d^2 / (2 min |g'|) of
+    t_r + d.  Here |g'| = 1 - n.v >= 1 - u, and g'' = -r'' with
+    r'' = (v^2 - (n.v)^2) / r - n.a, so |g''(xi)| <= u^2 / r(xi) + |a(xi)|.
+    The source moves at most u |d| over the step, so r(xi) >= r / 2 while
+    u |d| <= r / 2; and |a(xi)| <= a_max, the centripetal u^2 / R plus the
+    ramp's u pi / (2 eta T) while xi < eta T.  The rule is tested as
+    d^2 (2 u^2 + a_max r) <= k (r - 2 k), k = 8 (1 - u) eps t: dividing by
+    r gives M d^2 <= 4 eps t, and since k (r - 2 k) <= r^2 / 2 it implies
+    2 u^2 d^2 <= r^2 / 2, that is u |d| <= r / 2.
+
+    Returns (t_r, points, terms): t_r of shape (N,), the ascending indices
+    of the reached points, and traj.source_terms of those points at their
+    t_r (1-D arrays: r, r_vec . v, r_vec . a, v . v, and the (x, y)
+    components of v and a).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -281,31 +298,39 @@ def retarded_time_solve(traj, x, t):
     lo = np.zeros(n)
     hi = t.copy()
     eps = np.finfo(float).eps
+    u = traj.speed
     xtol = 4.0 * eps * t
     gtol = 8.0 * eps * (t + traj.radius)  # rounding level of the defect
+    k_tol = 2.0 * (1.0 - u)  # k = k_tol * xtol in the predicted stop
     idx = points
     for _ in range(_RETARDED_MAX_ITER):
         if idx.size == 0:
             break
         ti = tr[idx]
+        xt = xtol[idx]
         # take: a row gather several times faster than x[idx]
         r, rv = traj.separation(x.take(idx, axis=0), ti)
         g = (t[idx] - ti) - r
         slope = rv / np.where(r > 0.0, r, 1.0) - 1.0
         lo_i = np.where(g > 0.0, ti, lo[idx])
         hi_i = np.where(g < 0.0, ti, hi[idx])
-        step = ti - g / slope
+        d = g / slope  # minus the Newton step
+        step = ti - d
         # strict: a step onto the bracket edge (g = 0 there) is kept, not bisected
         bisect = (step < lo_i) | (step > hi_i)
+        k = k_tol * xt
+        a_max = traj.acceleration_bound(np.minimum(ti, step))
+        predicted = d * d * (2.0 * u * u + a_max * r) <= k * (r - 2.0 * k)
         step = np.where(bisect, 0.5 * (lo_i + hi_i), step)
-        done = (np.abs(step - ti) <= xtol[idx]) | (~bisect & (np.abs(g) <= gtol[idx]))
+        done = (np.abs(step - ti) <= xt) | (
+            ~bisect & (predicted | (np.abs(g) <= gtol[idx])))
         tr[idx], lo[idx], hi[idx] = step, lo_i, hi_i
         idx = idx[~done]
     if idx.size:
         raise QuadratureError(
             f"retarded-time solve did not converge in {_RETARDED_MAX_ITER} "
             f"iterations at {idx.size} points")
-    return (tr, points) + traj.point_velocity_extended(tr[points])
+    return tr, points, traj.source_terms(x.take(points, axis=0), tr[points])
 
 
 def loglog_slope(samples):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -193,7 +194,7 @@ def test_decoherence_pool_no_larger_than_its_points(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = write(tmp_path, "beta = 0.3\nsweep_beta = 0.3\n"
                           "sweep_lambda = 1.0, 2.0\nkmax_sigma_physical = 8.0\n")
     assert run("decoherence", cfg, str(tmp_path / "out"), jobs=64) == 0

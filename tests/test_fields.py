@@ -51,6 +51,20 @@ class _UniformCircularOrbit:
         rvec = x - pos
         return np.linalg.norm(rvec, axis=-1), np.einsum("ij,ij->i", rvec, vel)
 
+    def source_terms(self, x, t):
+        # the general form, from the (N, 3) position, velocity and
+        # acceleration (centripetal only)
+        pos, vel = self.point_velocity_extended(t)
+        acc = -(self.speed / self.radius) ** 2 * pos
+        rvec = x - pos
+        r, rv = self.separation(x, t)
+        return (r, rv, np.einsum("ij,ij->i", rvec, acc),
+                np.einsum("ij,ij->i", vel, vel), (vel[:, 0], vel[:, 1]),
+                (acc[:, 0], acc[:, 1]))
+
+    def acceleration_bound(self, t):
+        return np.full(np.shape(t), self.speed**2 / self.radius)
+
 
 def circle_points(radius, n, z=0.0):
     th = 2 * np.pi * (np.arange(n) + 0.5) / n
@@ -305,32 +319,35 @@ def test_retarded_static_loop_oracle():
 
 
 def test_retarded_point_reuses_the_solver_state(monkeypatch):
-    # the potential comes from the solver's source state, which is the
-    # trajectory at t_r, so re-evaluating it there gives the same field
+    # the potential comes from the solver's source terms, which are the
+    # trajectory's at t_r, so re-evaluating them there gives the same field
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(9).uniform(-6.0, 6.0, (2000, 3))
     tr = retarded_time_solve(traj, x, t)[0]
     ok = ~np.isnan(tr)
-    pos, vel = traj.point_velocity_extended(tr[ok])
-    rvec = x[ok] - pos
-    denom = np.linalg.norm(rvec, axis=-1) - np.einsum("ij,ij->i", rvec, vel)
+    r, rv, _, _, vel, _ = traj.source_terms(x[ok], tr[ok])
     expected = np.zeros_like(x)
-    expected[ok] = traj.charge * vel / (4 * np.pi * denom[:, None])
+    for i in (0, 1):
+        expected[ok, i] = traj.charge / (4 * np.pi * (r - rv)) * vel[i]
 
     points = []
-    lookup = TrajectoryHalfCircle.point_velocity_extended
 
-    def counted(self, s):
-        points.append(np.size(s))
-        return lookup(self, s)
+    def counted(method):
+        lookup = getattr(TrajectoryHalfCircle, method)
 
-    monkeypatch.setattr(TrajectoryHalfCircle, "point_velocity_extended", counted)
+        def call(self, *args):
+            points.append((method, np.size(args[-1])))
+            return lookup(self, *args)
+        return call
+
+    for method in ("point_velocity_extended", "source_terms"):
+        monkeypatch.setattr(TrajectoryHalfCircle, method, counted(method))
     A = a_electron_retarded(traj, POINT, x, t)
-    field_points = sum(points)
+    field_points = list(points)
     points.clear()
     retarded_time_solve(traj, x, t)
-    assert field_points == sum(points)  # no lookup beyond the solver's own
+    assert field_points == points  # no lookup beyond the solver's own
     np.testing.assert_array_equal(A, expected)
 
 

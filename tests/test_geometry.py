@@ -126,6 +126,59 @@ def test_separation_matches_position_and_velocity(sense, eta):
     np.testing.assert_allclose(rv, np.einsum("ij,ij->i", rvec, vel), rtol=0, atol=1e-14)
 
 
+def _cartesian_acceleration(traj, t, pos, vel):
+    """The (N, 3) acceleration: centripetal -|v|^2 x_el / R^2, plus the
+    sin^2 ramp's tangential part inside [0, eta T)."""
+    R = traj.radius
+    acc = -(np.einsum("ij,ij->i", vel, vel) / R**2)[:, None] * pos
+    t_ramp = traj.ramp_fraction * traj.traverse_time
+    if t_ramp > 0.0:
+        in_ramp = (t >= 0.0) & (t < t_ramp)
+        dspd = np.where(in_ramp, traj.speed * np.pi / (2 * t_ramp)
+                        * np.sin(np.pi * t / t_ramp), 0.0)
+        tang = (traj.angle_rate_sign / R) * np.stack(
+            [-pos[:, 1], pos[:, 0], np.zeros(len(t))], axis=-1)
+        acc += dspd[:, None] * tang
+    return acc
+
+
+@pytest.mark.parametrize("sense", list(Sense))
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_source_terms_match_the_cartesian_form(sense, eta):
+    # the field kernel's terms from the angle agree with the (N, 3) form,
+    # times inside the ramp included
+    traj = make_traj(sense, beta=0.4, eta=eta)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-3.0, 3.0, (400, 3))
+    T = traj.traverse_time
+    t = np.concatenate([rng.uniform(-0.1, 1.1, 300) * T,
+                        rng.uniform(-0.5, 1.5, 100) * eta * T])
+    r, rv, ra, v2, vel, acc = traj.source_terms(x, t)
+    pos, vel3 = traj.point_velocity_extended(t)
+    acc3 = _cartesian_acceleration(traj, t, pos, vel3)
+    rvec = x - pos
+    np.testing.assert_array_equal((r, rv), traj.separation(x, t))
+    np.testing.assert_allclose(r, np.linalg.norm(rvec, axis=-1), rtol=1e-14)
+    np.testing.assert_allclose(rv, np.einsum("ij,ij->i", rvec, vel3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(v2, np.einsum("ij,ij->i", vel3, vel3), rtol=1e-15)
+    np.testing.assert_allclose(np.stack(vel, -1), vel3[:, :2], rtol=0, atol=1e-16)
+    a_scale = traj.speed**2 / traj.radius + (
+        traj.speed * np.pi / (2 * eta * T) if eta else 0.0)
+    np.testing.assert_allclose(np.stack(acc, -1), acc3[:, :2], rtol=0,
+                               atol=1e-15 * a_scale)
+    np.testing.assert_allclose(ra, np.einsum("ij,ij->i", rvec, acc3), rtol=0,
+                               atol=1e-14 * a_scale)
+    assert np.all(acc3[:, 2] == 0.0) and np.all(vel3[:, 2] == 0.0)
+    # the acceleration bound holds at every later time
+    late = np.linspace(-0.1, 1.1, 4001) * T
+    p_late, v_late = traj.point_velocity_extended(late)
+    mag = np.linalg.norm(_cartesian_acceleration(traj, late, p_late, v_late), axis=-1)
+    bound = traj.acceleration_bound(t)
+    assert bound.shape == t.shape
+    for ti, b in zip(t, bound):
+        assert np.all(mag[late >= max(ti, 0.0)] <= b * (1 + 1e-15))
+
+
 def test_mirror_map_basics():
     np.testing.assert_allclose(mirror_map([1.0, 2.0, 3.0]), [-1.0, 2.0, -3.0])
     x = np.array([0.3, -1.2, 0.7])

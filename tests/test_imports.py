@@ -88,13 +88,16 @@ def test_only_quadrature_builds_gauss_legendre_rules(path):
 def test_cli_leaves_scipy_module_unloaded(module):
     # loading the command line does not import what only one library call
     # needs: scipy.integrate (pv_integral_1d) adds about 25 MB to the peak
-    # memory of every run, scipy.interpolate 24 MB and 0.29 s
+    # memory of every run, scipy.interpolate 24 MB and 0.29 s; nor
+    # multiprocessing, which only the decoherence stage's pool (--jobs > 1)
+    # uses
     code = (f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            f"import abtroika.cli\nprint({module!r} in sys.modules)\n")
+            f"import abtroika.cli\n"
+            f"print({module!r} in sys.modules, 'multiprocessing' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 SPECIAL = ("scipy.special", "scipy.ndimage")

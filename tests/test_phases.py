@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from abtroika import phases
+from abtroika.fields import SolenoidPotentialTable, a_dot_electron, solenoid_table
 from abtroika.geometry import (
     Sense,
     SmearingProfile,
@@ -127,6 +129,86 @@ def test_phi1_small_against_phi21_nonrelativistic():
     tr = traj(beta=0.05, eta=0.01)
     res = phi1(tr, POINT, LOOPS)
     assert abs(res.value) <= 0.02 * abs(phi21(tr, LOOPS))
+
+
+SHORT = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=25, length=4.0)
+
+
+def _phi1_integrand(monkeypatch, tr, model, rho_max):
+    """The (rho, z) integrand phi1 hands to the cubature (its inner shell),
+    captured without integrating."""
+    captured = []
+
+    def capture(f, box, spec, initial_grid):
+        captured.append(f)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(phases, "adaptive_nd", capture)
+    phi1(tr, POINT, model, rho_max=rho_max)
+    return captured[0]
+
+
+def _cartesian_ring_integrand(tr, table, q, n_phi=16):
+    """rho 2 pi times the ring mean of Adot_el . A_sol over the n_phi ring
+    points of each node, with A_sol looked up at every ring point (the
+    Cartesian form), and the same of |Adot_el . A_sol| as its scale."""
+    rho, z = q[:, 0], q[:, 1]
+    phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    pts = np.stack([(rho[:, None] * np.cos(phis)).ravel(),
+                    (rho[:, None] * np.sin(phis)).ravel(),
+                    np.repeat(z, n_phi)], axis=-1)
+    vals = np.einsum("ij,ij->i", a_dot_electron(tr, POINT, pts, tr.traverse_time),
+                     table(pts)).reshape(len(rho), n_phi)
+    return (rho * vals.mean(axis=1) * (2 * np.pi),
+            rho * np.abs(vals).mean(axis=1) * (2 * np.pi))
+
+
+def test_phi1_ring_integrand_matches_the_cartesian_ring_mean(monkeypatch):
+    # one A_phi per node times the ring mean of Adot_phi equals the ring
+    # mean of Adot_el . A_sol(x) at every ring point: nodes on the axis,
+    # across the winding, at the electron's final radius and across the
+    # start-up front (|x - x_el(0)| = T = 10.5 here)
+    tr = traj(beta=0.3, eta=0.01)
+    rho_max = 12.0
+    z_max = SHORT.length / 2 + 4.0
+    rng = np.random.default_rng(19)
+    rho = np.concatenate([[1e-9, 1e-3], SHORT.solenoid_radius + np.array([-0.01, 0.003, 0.02]),
+                          [0.98, 1.0, 1.03], rng.uniform(1e-9, rho_max / 2, 40)])
+    z = np.concatenate([[0.0, 2.0], [0.1, 1.999, 2.5], [0.0, 0.02, 0.1],
+                        rng.uniform(0.0, z_max, 40)])
+    q = np.stack([rho, z], axis=-1)
+    got = _phi1_integrand(monkeypatch, tr, SHORT, rho_max)(q)
+    table = solenoid_table(SHORT, rho_max * 1.01, z_max * 1.01)
+    want, scale = _cartesian_ring_integrand(tr, table, q)
+    assert np.all(scale[1:] > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale), np.max(
+        np.abs(got - want) / np.where(scale > 0, scale, 1.0))
+
+
+def test_phi1_looks_up_the_solenoid_once_per_node(monkeypatch):
+    tr = traj(beta=0.3, eta=0.01)
+    nodes, lookups, ring_points = [], [], []
+    cubature = phases.adaptive_nd
+
+    def counted_cubature(f, *args, **kwargs):
+        return cubature(lambda q: (nodes.append(len(q)), f(q))[1], *args, **kwargs)
+
+    table_call = SolenoidPotentialTable.__call__
+
+    def counted_table(self, pts):
+        lookups.append(len(pts))
+        return table_call(self, pts)
+
+    def counted_a_dot(traj_, smear, x, t):
+        ring_points.append(len(x))
+        return a_dot_electron(traj_, smear, x, t)
+
+    monkeypatch.setattr(phases, "adaptive_nd", counted_cubature)
+    monkeypatch.setattr(SolenoidPotentialTable, "__call__", counted_table)
+    monkeypatch.setattr(phases, "a_dot_electron", counted_a_dot)
+    phi1(tr, POINT, SHORT, rho_max=3.0)
+    assert nodes and lookups == nodes
+    assert ring_points == [16 * n for n in nodes]
 
 
 # ------------------------------------------------------------------ identity

@@ -412,7 +412,7 @@ def _record_calls(monkeypatch, *methods):
 
     One solve makes, in order: the front test at t = 0
     (point_velocity_extended), the static guess and one call per Newton
-    pass (separation), and the final state at t_r (point_velocity_extended)."""
+    pass (separation), and the source terms at t_r (source_terms)."""
     sizes = []
 
     def counted(original):
@@ -461,7 +461,8 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(3).uniform(-4, 4, (4000, 3))
-    points = _record_calls(monkeypatch, "point_velocity_extended", "separation")
+    points = _record_calls(monkeypatch, "point_velocity_extended", "separation",
+                           "source_terms")
     reached = retarded_time_solve(traj, x, t)[1].size
     assert points[0] == 1 and points[1] == points[-1] == reached
     passes = points[2:-1]
@@ -472,10 +473,10 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
 
 
 def test_retarded_time_looks_up_positions_at_most_twice(monkeypatch):
-    # once for the front test, once for the source state at t_r
+    # once for the front test, once for the source terms at t_r
     traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=0.01)
     x = np.random.default_rng(4).uniform(-6, 6, (2000, 3))
-    calls = _record_calls(monkeypatch, "point_velocity_extended")
+    calls = _record_calls(monkeypatch, "point_velocity_extended", "source_terms")
     reached = retarded_time_solve(traj, x, traj.traverse_time)[1].size
     assert 0 < reached < len(x)
     assert calls == [1, reached]
@@ -486,13 +487,88 @@ def test_retarded_time_state_is_source_at_retarded_time(beta):
     traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT, ramp_fraction=0.01)
     t = traj.traverse_time
     x = np.random.default_rng(5).uniform(-1.5 * t, 1.5 * t, (3000, 3))
-    tr, points, pos, vel = retarded_time_solve(traj, x, t)
+    tr, points, terms = retarded_time_solve(traj, x, t)
     reached = np.flatnonzero(~np.isnan(tr))
     assert 0 < reached.size < len(x)
     np.testing.assert_array_equal(points, reached)
-    ref_pos, ref_vel = traj.point_velocity_extended(tr[points])
-    np.testing.assert_array_equal(pos, ref_pos)
-    np.testing.assert_array_equal(vel, ref_vel)
+    ref = traj.source_terms(x[points], tr[points])
+    assert len(terms) == len(ref) == 6
+    for got, want in zip(terms, ref):
+        np.testing.assert_array_equal(got, want)
+
+
+def _float_bisection_retarded_time(traj, x, t):
+    """Reference solver: bisection of the retarded-time defect, formed from
+    point_velocity_extended and a norm, until lo and hi are adjacent
+    floats (or equal)."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],)).astype(float)
+
+    def defect(tr, i):
+        pos, _ = traj.point_velocity_extended(tr)
+        return (t[i] - tr) - np.linalg.norm(x[i] - pos, axis=-1)
+
+    every = np.arange(len(t))
+    reached = defect(np.zeros(len(t)), every) >= 0.0
+    lo = np.zeros(len(t))
+    hi = t.copy()
+    i = every[reached]
+    while i.size:
+        mid = 0.5 * (lo[i] + hi[i])
+        split = (mid > lo[i]) & (mid < hi[i])
+        i, mid = i[split], mid[split]
+        take_hi = defect(mid, i) >= 0.0
+        lo[i[take_hi]] = mid[take_hi]
+        hi[i[~take_hi]] = mid[~take_hi]
+    return np.where(reached, lo, np.nan)
+
+
+def _stop_rule_points(traj, t, rng):
+    """Field points at time t near the orbit, near the start-up front (on
+    both sides, the reached ones with t_r in the ramp) and far away."""
+    n = 600
+
+    def directions(m):
+        d = rng.normal(size=(m, 3))
+        return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+    pos, _ = traj.point_velocity_extended(rng.uniform(0.0, t, n))
+    near_orbit = pos + 10.0 ** rng.uniform(-4, -0.5, n)[:, None] * directions(n)
+    start = traj.point_velocity_extended(np.zeros(1))[0][0]
+    depth = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -1, n)
+    front = start + (t * (1.0 - depth))[:, None] * directions(n)
+    far = rng.uniform(0.5, 0.95, n)[:, None] * t * directions(n)
+    return np.vstack([near_orbit, front, far])
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.9])
+@pytest.mark.parametrize("eta", [0.01, 0.2])
+def test_retarded_time_stop_rule_matches_float_bisection(monkeypatch, beta, eta):
+    # the predicted-convergence stop accepts a Newton step only when the
+    # bound puts its iterate within 4 eps t of the root: every t_r stays
+    # within 8 eps t of bisection to adjacent floats, while the passes that
+    # only confirm a converged step are skipped
+    traj = TrajectoryHalfCircle(1.0, beta, Sense.RIGHT, ramp_fraction=eta)
+    t = traj.traverse_time
+    x = _stop_rule_points(traj, t, np.random.default_rng(int(100 * beta + 10 * eta)))
+    calls = _record_calls(monkeypatch, "separation")
+    tr = retarded_time_solve(traj, x, t)[0]
+    pass_points = sum(calls[1:])  # calls[0] is the static guess
+
+    ref = _float_bisection_retarded_time(traj, x, t)
+    np.testing.assert_array_equal(np.isnan(tr), np.isnan(ref))
+    ok = ~np.isnan(ref)
+    assert 0.5 * len(x) < ok.sum() < len(x)
+    assert np.all(np.abs(tr[ok] - ref[ok]) <= 8 * np.finfo(float).eps * t)
+
+    # confirm-only: with no bound on the acceleration no step is predicted
+    monkeypatch.setattr(TrajectoryHalfCircle, "acceleration_bound",
+                        lambda self, s: np.full(np.shape(s), np.inf))
+    calls.clear()
+    with np.errstate(invalid="ignore"):  # inf * 0 for a zero step
+        tr_confirm = retarded_time_solve(traj, x, t)[0]
+    np.testing.assert_array_equal(np.isnan(tr_confirm), np.isnan(ref))
+    assert np.all(np.abs(tr_confirm[ok] - ref[ok]) <= 8 * np.finfo(float).eps * t)
+    assert pass_points <= 0.85 * sum(calls[1:])
 
 
 def test_loglog_slope_powers():
