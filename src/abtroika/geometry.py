@@ -95,13 +95,8 @@ class TrajectoryHalfCircle:
         """
         t = np.asarray(t, dtype=float)
         u = self.speed
-        T = self.traverse_time
-        eta = self.ramp_fraction
-        if eta == 0.0:
-            arc = u * np.clip(t, 0.0, None)
-            spd = np.where(t >= 0.0, u, 0.0)
-            return arc, spd
-        t_ramp = eta * T
+        # eta = 0 leaves no time inside the ramp: arc = u max(t, 0)
+        t_ramp = self.ramp_fraction * self.traverse_time
         tc = np.clip(t, 0.0, None)
         spd = np.where(t >= 0.0, u, 0.0)
         arc = np.asarray(u * t_ramp / 2 + u * (tc - t_ramp))  # an array for 0-d t too

@@ -20,11 +20,11 @@ from .fields import (
     a_dot_electron,
     a_electron_retarded,
     a_solenoid,
-    solenoid_table,
 )
 from .geometry import (
     Sense,
     SmearingProfile,
+    SmearKind,
     SolenoidKind,
     SolenoidModel,
     TrajectoryHalfCircle,
@@ -124,7 +124,7 @@ def _earliest_arrival(traj, smear, pts):
     """Earliest time the start-up signal can reach each point."""
     pos0, _ = traj.point_velocity_extended(np.zeros(1))
     d = pts - pos0[0]
-    if smear.kind.name == "LINE_Z":
+    if smear.kind is SmearKind.LINE_Z:
         dz = np.maximum(np.abs(d[:, 2]) - smear.sigma / 2, 0.0)
         return np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + dz**2)
     return np.linalg.norm(d, axis=-1)
@@ -218,7 +218,6 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
     if spec is None:
         spec = QuadratureSpec(abs_tol=5e-5, rel_tol=1e-3, max_subdivisions=4000)
     T = traj.traverse_time
-    asol_table = solenoid_table(model, rho_max * 1.01, z_max * 1.01)
 
     def rho_adot_phi(pts):
         # rho times the azimuthal component of Adot_el: x Adot_y - y Adot_x
@@ -227,9 +226,9 @@ def phi1(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMode
 
     def ring_integrand(nodes, ring_mean):
         # A_sol is azimuthal and axisymmetric, so on a ring Adot_el . A_sol
-        # = A_phi(rho, z) Adot_phi: one table lookup per node, at
-        # (rho, 0, z), where the potential's y component is A_phi
-        return asol_table(nodes)[:, 1] * ring_mean(rho_adot_phi) / nodes[:, 0]
+        # = A_phi(rho, z) Adot_phi: one loop sum per node, at (rho, 0, z),
+        # where the potential's y component is A_phi
+        return a_solenoid(model, nodes)[:, 1] * ring_mean(rho_adot_phi) / nodes[:, 0]
 
     inner, err_in = cylinder_integral(ring_integrand, (1e-9, rho_max / 2), z_max,
                                       n_phi, spec)

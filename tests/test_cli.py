@@ -387,14 +387,6 @@ def test_phases_stage_small(tmp_path):
     assert sorted(rep["checks"]) == sorted(ref["checks"])
 
 
-def test_phases_stage_builds_one_solenoid_table(table_builds):
-    # phi1 at eta and its 2 eta sensitivity rerun share one potential table
-    cfg = RunConfig.from_text("beta = 0.3\nn_loops = 10\nrho_max_over_r = 2\n")
-    payload, _ = cli.stage_phases(cfg)
-    assert len(table_builds) == 1
-    assert payload["phase_report"]["identity_residuals"]["phi1_eta_sensitivity"] > 0
-
-
 def test_console_entry_point(tmp_path):
     cfg = write(tmp_path, "beta = 0.3\n")
     # the child finds the package in src/, as pytest's own pythonpath does

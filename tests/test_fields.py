@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from abtroika.fields import (
     a_electron_retarded,
     a_solenoid,
     loop_a_phi,
-    solenoid_table,
 )
 from abtroika.geometry import (
     Sense,
@@ -164,133 +161,6 @@ def test_solenoid_wire_singularity():
     zs = LOOPS.loop_positions()
     with pytest.raises(SingularFieldPoint):
         a_solenoid(LOOPS, np.array([[0.5, 0.0, zs[0]]]))
-
-
-def direct_loop_sum(model, rho, z):
-    """A_phi of the finite-loop solenoid as a plain sum over its loops."""
-    return sum(loop_a_phi(model.solenoid_radius, model.loop_current, rho, z - zi)
-               for zi in model.loop_positions())
-
-
-def test_solenoid_table_built_once_per_model_and_extent(table_builds):
-    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=4, length=2.0)
-    table = solenoid_table(model, 3.0, 4.0)
-    # an equal model built separately is the same cache key
-    assert solenoid_table(dataclasses.replace(model), 3.0, 4.0) is table
-    assert len(table_builds) == 1
-    other_model = solenoid_table(dataclasses.replace(model, n_loops=6), 3.0, 4.0)
-    other_rho = solenoid_table(model, 2.5, 4.0)
-    assert len(table_builds) == 3
-    assert other_model is not table and other_rho is not table
-    # the convolved build still reproduces the exact loop sum
-    x = np.array([[1.3, 0.4, 0.7], [0.1, -2.0, 1.9]])
-    np.testing.assert_allclose(table(x), a_solenoid(model, x), rtol=1e-6)
-
-
-# (n_loops, loop pitch coarser than the z step, parity of (n - 1) k) at
-# L = 2, z_max = 4, where k = ceil(pitch / (z_max / 639))
-@pytest.mark.parametrize("n_loops, coarse, parity",
-                         [(4, True, 0), (5, True, 0), (50, True, 1), (2000, False, 1)])
-def test_solenoid_table_nodes_equal_the_loop_sum(n_loops, coarse, parity):
-    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=n_loops, length=2.0)
-    rho_max, z_max = 3.0, 4.0
-    table = fields.SolenoidPotentialTable(model, rho_max, z_max)
-    pitch, step = model.length / n_loops, z_max / 639
-    k = int(np.ceil(pitch / step))
-    assert (pitch > step) is coarse and (n_loops - 1) * k % 2 == parity
-    assert table._dz == pytest.approx(pitch / k, rel=1e-14)
-    rng = np.random.default_rng(n_loops)
-    # random nodes plus the corners of the table, axis and mid-plane included
-    i = np.concatenate([rng.integers(0, 320, 1500), [0, 0, 319, 319]])
-    j = np.concatenate([rng.integers(0, int(z_max / table._dz) + 1, 1500),
-                        [0, int(z_max / table._dz)] * 2])
-    rho, z = i * table._drho, j * table._dz
-    exact = direct_loop_sum(model, rho, z)
-    # the floor: where A_phi is small, loop_a_phi's own rounding in
-    # (1 - m/2) K - E exceeds 1e-13 of the value for both sides
-    np.testing.assert_allclose(table.a_phi(rho, z), exact, rtol=1e-13,
-                               atol=1e-13 * np.abs(exact).max())
-
-
-@pytest.mark.parametrize("shape", [(37, 52), (40, 41), (33, 34), (64, 29)])
-def test_spline_prefilter_and_evaluation_match_ndimage(shape):
-    from scipy.ndimage import map_coordinates, spline_filter
-
-    vals = np.random.default_rng(shape[0]).standard_normal(shape)
-    exact = spline_filter(vals, order=3, mode="mirror")
-    coef = fields._prefilter(vals)
-    scale = np.abs(exact).max()
-    assert np.abs(coef - exact).max() <= 1e-13 * scale
-    # points whose 4 x 4 neighbourhoods lie inside the array, its first and
-    # last admissible indices included
-    rng = np.random.default_rng(shape[1])
-    u = np.concatenate([rng.uniform(1.0, shape[0] - 3.0, 2000), [1.0, shape[0] - 3.0]])
-    v = np.concatenate([rng.uniform(1.0, shape[1] - 3.0, 2000), [shape[1] - 3.0, 1.0]])
-    ref = map_coordinates(exact, [u, v], order=3, mode="mirror", prefilter=False)
-    assert np.abs(fields._bspline_eval(exact, u, v) - ref).max() <= 1e-13 * scale
-
-
-def test_solenoid_table_as_accurate_as_the_fitpack_table():
-    from scipy.interpolate import RectBivariateSpline
-
-    # the phases stage's table at its default geometry with 50 loops
-    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=50, length=20.0)
-    rho_max, z_max = 8.0 * 1.01, 14.0 * 1.01
-    table = fields.SolenoidPotentialTable(model, rho_max, z_max)
-    rho_nodes, z_nodes = np.linspace(0.0, rho_max, 320), np.linspace(0.0, z_max, 640)
-    fitpack = RectBivariateSpline(rho_nodes, z_nodes, direct_loop_sum(
-        model, rho_nodes[:, None], z_nodes[None, :]), kx=3, ky=3)
-    rng = np.random.default_rng(8)
-    rho, z = rng.uniform(0.0, rho_max, 20000), rng.uniform(-z_max, z_max, 20000)
-    # outside both tables' near-wire bands, where neither reads the exact sum
-    keep = (np.abs(rho - model.solenoid_radius) >= 4 * rho_max / 319) | (
-        np.abs(z) >= model.length / 2 + 4 * z_max / 639)
-    rho, z = rho[keep], z[keep]
-    exact = direct_loop_sum(model, rho, z)
-    scale = np.abs(exact).max()
-    err_new = np.abs(table.a_phi(rho, z) - exact) / scale
-    err_old = np.abs(fitpack(rho, np.abs(z), grid=False) - exact) / scale
-    assert len(rho) >= 10_000
-    assert err_new.max() <= err_old.max()
-    assert np.quantile(err_new, 0.99) <= np.quantile(err_old, 0.99)
-    # FITPACK's end condition is exact for a cubic, and A_phi is odd and
-    # nearly cubic next to the axis: the padding must keep up with it there
-    axis = rho < 4 * rho_max / 319
-    assert axis.sum() >= 100
-    assert err_new[axis].max() <= err_old[axis].max()
-
-
-def test_solenoid_table_even_in_z():
-    table = solenoid_table(LOOPS, 8.0, 9.0)
-    rng = np.random.default_rng(3)
-    x = np.stack([rng.uniform(-5, 5, 500), rng.uniform(-5, 5, 500),
-                  rng.uniform(0, 9, 500)], axis=-1)
-    np.testing.assert_array_equal(table(x * [1, 1, -1]), table(x))
-
-
-def test_solenoid_table_rejects_points_beyond_its_extent():
-    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS, n_loops=4, length=2.0)
-    table = solenoid_table(model, 3.0, 4.0)
-    # the extent's own edges are inside it
-    edge = np.array([[3.0, 0.0, 4.0], [0.0, 3.0, -4.0]])
-    np.testing.assert_allclose(table(edge), a_solenoid(model, edge), rtol=1e-6)
-    for x in ([5.0, 0.0, 0.0], [1.0, 0.0, 20.0], [0.0, 1.0, -20.0]):
-        with pytest.raises(ValueError, match="rho <= 3, \\|z\\| <= 4"):
-            table(np.array([x]))
-
-
-def test_solenoid_table_build_takes_one_loop_profile(monkeypatch):
-    count = [0]
-    loop_a_phi = fields.loop_a_phi
-
-    def counted(a, current, rho, z):
-        count[0] += np.broadcast(rho, z).size
-        return loop_a_phi(a, current, rho, z)
-
-    monkeypatch.setattr(fields, "loop_a_phi", counted)
-    fields.SolenoidPotentialTable(LOOPS, 8.0 * 1.01, 9.0 * 1.01)
-    # the direct sum over 320 x 640 nodes of 200 loops took 41M evaluations
-    assert 0 < count[0] < 1_000_000
 
 
 def test_retarded_causality_zero_before_arrival():

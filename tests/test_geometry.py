@@ -83,18 +83,27 @@ def _full_array_arc_speed(traj, t):
     return np.where(in_ramp, arc_ramp, u * t_ramp / 2 + u * (tc - t_ramp)), spd
 
 
+def _unramped_arc_speed(traj, t):
+    """Oracle without a ramp: uniform motion from t = 0."""
+    t = np.asarray(t, dtype=float)
+    return traj.speed * np.clip(t, 0.0, None), np.where(t >= 0.0, traj.speed, 0.0)
+
+
 @pytest.mark.parametrize("t_over_T", [
     -0.3, 0.0, 0.004, 0.01, 0.7, 1.2,
-    np.linspace(-0.1, 1.1, 1201), np.array([-1.0, 0.0, 0.005, 0.01, 2.0])])
+    np.linspace(-0.1, 1.1, 1201), np.array([-1.0, 0.0, 0.005, 0.01, 2.0]), -0.0, 1.0])
 def test_ramp_arc_speed_matches_full_array_form(t_over_T):
     # the ramp terms are evaluated only inside [0, eta T): before t = 0,
-    # inside the ramp, after it and on 0-d input the values are unchanged
-    traj = make_traj(beta=0.3, eta=0.01)
-    t = np.asarray(t_over_T) * traj.traverse_time
-    got = traj._arc_speed(t)
-    for g, ref in zip(got, _full_array_arc_speed(traj, t)):
-        assert np.shape(g) == np.shape(t)
-        assert np.asarray(g).tobytes() == ref.tobytes()
+    # inside the ramp, after it and on 0-d input the values are unchanged;
+    # eta = 0 takes the same form with an empty ramp, and each case checks
+    # it against uniform motion from t = 0, sign bits included
+    for eta, oracle in ((0.01, _full_array_arc_speed), (0.0, _unramped_arc_speed)):
+        traj = make_traj(beta=0.3, eta=eta)
+        t = np.asarray(t_over_T) * traj.traverse_time
+        got = traj._arc_speed(t)
+        for g, ref in zip(got, oracle(traj, t)):
+            assert np.shape(g) == np.shape(t)
+            assert np.asarray(g).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("sense", list(Sense))

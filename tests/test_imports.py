@@ -1,6 +1,7 @@
 """No module in src/ or tests/ imports a name it does not use, the command
 line does not load what only a library call needs, no stage loads
-scipy.special, scipy.ndimage or numpy.ma, and the package takes every
+scipy.special, scipy.ndimage or numpy.ma, no stage code uses a name kept
+only for the benchmark's tracer, and the package takes every
 Gauss-Legendre rule from one module."""
 
 import ast
@@ -103,13 +104,18 @@ def test_cli_leaves_scipy_module_unloaded(module):
 SPECIAL = ("scipy.special", "scipy.ndimage")
 
 
+def shim_nodes(tree) -> set:
+    """ids of the nodes inside the module-level __getattr__ functions."""
+    return {id(node) for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__getattr__"
+            for node in ast.walk(f)}
+
+
 def special_imports(source: str) -> list:
     """Lines that import scipy.special or scipy.ndimage (or a name from
     them) outside a module-level __getattr__."""
     tree = ast.parse(source)
-    shims = {id(node) for f in tree.body
-             if isinstance(f, ast.FunctionDef) and f.name == "__getattr__"
-             for node in ast.walk(f)}
+    shims = shim_nodes(tree)
     lines = []
     for node in ast.walk(tree):
         if id(node) in shims:
@@ -135,10 +141,40 @@ def test_scan_finds_a_special_import():
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_stage_code_imports_scipy_special(path):
-    # the loop potential is an arithmetic-geometric mean, the spline table is
-    # numpy and the Bessel recurrence is normalised by Neumann's sum: only a
-    # module __getattr__ kept for the benchmark's tracer may load these
+    # the loop potential is an arithmetic-geometric mean and the Bessel
+    # recurrence is normalised by Neumann's sum: only a module __getattr__
+    # kept for the benchmark's tracer may load these
     assert special_imports(path.read_text(encoding="utf-8")) == []
+
+
+# names that only the benchmark's tracer looks up, each served by a module
+# __getattr__ until the benchmark stops wrapping them
+TRACER_ONLY = ("ellipk", "jv", "SolenoidPotentialTable")
+
+
+def tracer_only_references(source: str) -> list:
+    """(name, line) of every reference to a TRACER_ONLY name outside a
+    module-level __getattr__."""
+    tree = ast.parse(source)
+    shims = shim_nodes(tree)
+    shim_lines = {node.lineno for node in ast.walk(tree)
+                  if id(node) in shims and hasattr(node, "lineno")}
+    return [(name, line) for name in TRACER_ONLY
+            for line in references(source, name) if line not in shim_lines]
+
+
+def test_scan_finds_a_tracer_only_reference():
+    src = ("from scipy.special import jv\n\n\ndef __getattr__(name):\n"
+           "    import scipy.special\n    return scipy.special.ellipk\n\n\n"
+           "x = fields.SolenoidPotentialTable\n")
+    assert tracer_only_references(src) == [("jv", 1), ("SolenoidPotentialTable", 9)]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_tracer_only_names_stay_in_their_shims(path):
+    # no stage code may use a name that exists for the tracer alone, so the
+    # fields and decoherence shims can be deleted together
+    assert tracer_only_references(path.read_text(encoding="utf-8")) == []
 
 
 # modules no stage may load: scipy.special costs about 0.25 s of start-up and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abtroika import phases
-from abtroika.fields import SolenoidPotentialTable, a_dot_electron, solenoid_table
+from abtroika.fields import a_dot_electron, a_solenoid
 from abtroika.geometry import (
     Sense,
     SmearingProfile,
@@ -148,9 +148,9 @@ def _phi1_integrand(monkeypatch, tr, model, rho_max):
     return captured[0]
 
 
-def _cartesian_ring_integrand(tr, table, q, n_phi=16):
+def _cartesian_ring_integrand(tr, model, q, n_phi=16):
     """rho 2 pi times the ring mean of Adot_el . A_sol over the n_phi ring
-    points of each node, with A_sol looked up at every ring point (the
+    points of each node, with A_sol evaluated at every ring point (the
     Cartesian form), and the same of |Adot_el . A_sol| as its scale."""
     rho, z = q[:, 0], q[:, 1]
     phis = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -158,7 +158,7 @@ def _cartesian_ring_integrand(tr, table, q, n_phi=16):
                     (rho[:, None] * np.sin(phis)).ravel(),
                     np.repeat(z, n_phi)], axis=-1)
     vals = np.einsum("ij,ij->i", a_dot_electron(tr, POINT, pts, tr.traverse_time),
-                     table(pts)).reshape(len(rho), n_phi)
+                     a_solenoid(model, pts)).reshape(len(rho), n_phi)
     return (rho * vals.mean(axis=1) * (2 * np.pi),
             rho * np.abs(vals).mean(axis=1) * (2 * np.pi))
 
@@ -178,8 +178,7 @@ def test_phi1_ring_integrand_matches_the_cartesian_ring_mean(monkeypatch):
                         rng.uniform(0.0, z_max, 40)])
     q = np.stack([rho, z], axis=-1)
     got = _phi1_integrand(monkeypatch, tr, SHORT, rho_max)(q)
-    table = solenoid_table(SHORT, rho_max * 1.01, z_max * 1.01)
-    want, scale = _cartesian_ring_integrand(tr, table, q)
+    want, scale = _cartesian_ring_integrand(tr, SHORT, q)
     assert np.all(scale[1:] > 0.0)
     assert np.all(np.abs(got - want) <= 1e-13 * scale), np.max(
         np.abs(got - want) / np.where(scale > 0, scale, 1.0))
@@ -193,18 +192,16 @@ def test_phi1_looks_up_the_solenoid_once_per_node(monkeypatch):
     def counted_cubature(f, *args, **kwargs):
         return cubature(lambda q: (nodes.append(len(q)), f(q))[1], *args, **kwargs)
 
-    table_call = SolenoidPotentialTable.__call__
-
-    def counted_table(self, pts):
-        lookups.append(len(pts))
-        return table_call(self, pts)
+    def counted_solenoid(model, x):
+        lookups.append(len(x))
+        return a_solenoid(model, x)
 
     def counted_a_dot(traj_, smear, x, t):
         ring_points.append(len(x))
         return a_dot_electron(traj_, smear, x, t)
 
     monkeypatch.setattr(phases, "adaptive_nd", counted_cubature)
-    monkeypatch.setattr(SolenoidPotentialTable, "__call__", counted_table)
+    monkeypatch.setattr(phases, "a_solenoid", counted_solenoid)
     monkeypatch.setattr(phases, "a_dot_electron", counted_a_dot)
     phi1(tr, POINT, SHORT, rho_max=3.0)
     assert nodes and lookups == nodes
