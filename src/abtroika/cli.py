@@ -15,6 +15,11 @@ import os
 import sys
 import time
 
+# one BLAS thread unless the environment sets a count, so that --jobs is the
+# only parallelism (README, "Command line"); must precede the first numpy import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .config import ConfigError, RunConfig

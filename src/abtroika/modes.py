@@ -491,55 +491,30 @@ def _inverse_real(grid: ModeGrid, modes: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(full.reshape(n, n, n, -1), axes=(0, 1, 2)).real * fac
 
 
-def _fields_from_state(state: ModeState):
-    """Real-space A and Adot on the fft cube (requires an fft-pair grid).
-
-    The reality condition At(-k) = At(k)* makes each field twice the real
-    part of its one-sided mode sum: A from alpha / sqrt(2 omega), Adot from
-    -i sqrt(omega / 2) alpha.
-    """
-    grid = state.grid
-    if grid.fft_n is None:
-        raise ValueError("field reconstruction needs an fft-pair ModeGrid")
-    om = grid.omega[:, None]
-    return (_inverse_real(grid, state.alpha / np.sqrt(2 * om)),
-            _inverse_real(grid, -1j * np.sqrt(om / 2) * state.alpha))
-
-
-def state_from_fields(grid: ModeGrid, A: np.ndarray, Adot: np.ndarray) -> ModeState:
-    """Coherent state whose mean field and field velocity are (A, Adot).
-
-    alpha(k) = sqrt(omega/2) At(k) + (i/sqrt(2 omega)) Vt(k); the phase c is
-    fixed to -(1/2) Sum w |alpha|^2.
-    """
-    if grid.fft_n is None:
-        raise ValueError("state_from_fields needs an fft-pair ModeGrid")
-    om = grid.omega
-    alpha = (np.sqrt(om / 2)[:, None] * _forward(grid, A)
-             + 1j / np.sqrt(2 * om)[:, None] * _forward(grid, Adot))
-    c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)
-    return ModeState(grid, alpha, complex(c), 0.0)
-
-
 def random_smooth_state(grid: ModeGrid, rng) -> ModeState:
-    """Random smooth real field configuration as a coherent state (test aid)."""
+    """Random smooth real fields (A, Adot) on an fft-pair grid as the coherent
+    state alpha = sqrt(omega/2) At + (i/sqrt(2 omega)) Vt, c = -(1/2) Sum w
+    |alpha|^2 (test aid)."""
     n = grid.fft_n
     L = grid.box_length
     x = np.arange(n) * (L / n)
     X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    A = np.zeros((n, n, n, 3))
-    V = np.zeros((n, n, n, 3))
+    fields = np.zeros((n, n, n, 6))  # A in columns 0-2, Adot in 3-5
     kbase = 2 * np.pi / L
     for i in range(3):
-        for fld in (A, V):
+        for col in (i, 3 + i):
             acc = np.zeros((n, n, n))
             for _ in range(4):
                 m = rng.integers(-2, 3, 3)
                 amp = rng.normal() * 0.35
                 ph = rng.uniform(0, 2 * np.pi)
                 acc += amp * np.cos(kbase * (m[0] * X + m[1] * Y + m[2] * Z) + ph)
-            fld[..., i] = acc - acc.mean()
-    return state_from_fields(grid, A, V)
+            fields[..., col] = acc - acc.mean()
+    At, Vt = np.split(_forward(grid, fields), 2, axis=-1)
+    om = grid.omega
+    alpha = np.sqrt(om / 2)[:, None] * At + 1j / np.sqrt(2 * om)[:, None] * Vt
+    c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)
+    return ModeState(grid, alpha, complex(c), 0.0)
 
 
 def overlap_gaussian_check(state_l: ModeState, state_r: ModeState):
@@ -551,22 +526,27 @@ def overlap_gaussian_check(state_l: ModeState, state_r: ModeState):
     -(1/2) Int (Adot_R + Adot_L).(A_R - A_L)
     and the single-state phase terms.  The two are identical analytically;
     the pair is computed through genuinely different code paths (mode sums
-    against FFT reconstruction and real-space sums).
+    against FFT reconstruction and real-space sums).  By the reality
+    condition At(-k) = At(k)* each field is twice the real part of its
+    one-sided mode sum: A of alpha / sqrt(2 omega), Adot of
+    -i sqrt(omega / 2) alpha, both states in one inverse transform.
     """
     grid = state_l.grid
     if grid.fft_n is None:
         raise ValueError("overlap_gaussian_check needs an fft-pair ModeGrid")
     lhs = overlap_coherent(state_l, state_r)
 
-    Al, Vl = _fields_from_state(state_l)
-    Ar, Vr = _fields_from_state(state_r)
-    dx3 = (grid.box_length / grid.fft_n) ** 3
-    dA = Ar - Al
-    dV = Vr - Vl
-    # quadratic forms through the kernel omega/2 and its inverse 2/omega
     w, om = grid.weights[:, None], grid.omega[:, None]
-    qa = np.sum(w * (om / 2) * np.abs(_forward(grid, dA)) ** 2)
-    qv = np.sum(w * (2 / om) * np.abs(_forward(grid, dV)) ** 2)
+    alphas = np.hstack([state_l.alpha, state_r.alpha])
+    fields = _inverse_real(grid, np.hstack([alphas / np.sqrt(2 * om),
+                                            -1j * np.sqrt(om / 2) * alphas]))
+    Al, Ar, Vl, Vr = np.split(fields, 4, axis=-1)
+    dx3 = (grid.box_length / grid.fft_n) ** 3
+    dA, dV = Ar - Al, Vr - Vl
+    # quadratic forms through the kernel omega/2 and its inverse 2/omega
+    At, Vt = np.split(_forward(grid, np.concatenate([dA, dV], axis=-1)), 2, axis=-1)
+    qa = np.sum(w * (om / 2) * np.abs(At) ** 2)
+    qv = np.sum(w * (2 / om) * np.abs(Vt) ** 2)
     cross = -0.5 * dx3 * np.sum((Vr + Vl) * dA)
     single = 0.5 * dx3 * (np.sum(Vr * Ar) - np.sum(Vl * Al))
     # current-phase parts of c enter both forms identically

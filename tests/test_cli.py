@@ -399,6 +399,25 @@ def test_console_entry_point(tmp_path):
     assert "divergence_loglog_slope: pass" in proc.stdout
 
 
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset-3"])
+def test_blas_threads_default_to_one(preset, want):
+    # the command line pins BLAS to one thread before numpy loads, unless the
+    # caller chose a count
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                     os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env.update(dict.fromkeys(blas, preset))
+    code = ("import os, sys; import abtroika.cli; "
+            "assert 'numpy' in sys.modules; "
+            f"print(' '.join(os.environ[k] for k in {blas!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want] * 3
+
+
 def test_bad_jobs_environment_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ABTROIKA_JOBS", "abc")
     cfg = write(tmp_path, "beta = 0.3\n")

@@ -168,8 +168,9 @@ def test_current_current_self_positive():
 
 def _a_current_current_per_order(beta, lam, fine_structure, k_max, n_mu=96,
                                  n_extra=25):
-    """Oracle: the order sum over n = -nmax .. nmax with one jv call per
-    order, k node and shifted order, as in the unfolded formula."""
+    """Oracle: the order sum over n = -nmax .. nmax as in the unfolded
+    formula, with J_{n-1}^2 + J_{n+1}^2 from one jv evaluation per order and
+    k node."""
     T = np.pi / beta
     xg, wg = np.polynomial.legendre.leggauss(int(min(max(8, 3 * T), 48)))
     nseg = int(np.ceil(k_max))
@@ -183,8 +184,10 @@ def _a_current_current_per_order(beta, lam, fine_structure, k_max, n_mu=96,
             S2 = SmearingProfile(SmearKind.LINE_Z, lam).fourier_factor(k * mu) ** 2
             nmax = int(k + n_extra)
             n = np.arange(-nmax, nmax + 1)
-            JJ = (jv(n[None, :] - 1, kperp[:, None]) ** 2
-                  + jv(n[None, :] + 1, kperp[:, None]) ** 2)
+            # J_m^2 once for m = -nmax - 1 .. nmax + 1; orders n - 1 and n + 1
+            # are its slices [:-2] and [2:]
+            J2 = jv(np.arange(-nmax - 1, nmax + 2)[None, :], kperp[:, None]) ** 2
+            JJ = J2[:, :-2] + J2[:, 2:]
             Ep = decoherence._endpoint_factor(k + n * beta, T)
             Em = decoherence._endpoint_factor(k - n * beta, T)
             self_t = np.abs(Ep) ** 2 + np.abs(Em) ** 2

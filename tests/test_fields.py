@@ -163,6 +163,31 @@ def test_solenoid_wire_singularity():
         a_solenoid(LOOPS, np.array([[0.5, 0.0, zs[0]]]))
 
 
+@pytest.mark.parametrize("n_loops", [25, 50, 200])
+def test_blocked_loop_sum_matches_one_array(n_loops):
+    # the node blocks of a_solenoid give the one-array sum bit for bit, on
+    # more nodes than one block holds, near the windings and far from them
+    model = SolenoidModel(0.5, 1.0, SolenoidKind.FINITE_LOOPS,
+                          n_loops=n_loops, length=20.0)
+    n = 3 * fields._BLOCK_ELEMS // n_loops + 7
+    rng = np.random.default_rng(n_loops)
+    rho = np.concatenate([rng.uniform(0.0, 8.0, n - n // 3),
+                          0.5 + rng.normal(0.0, 1e-3, n // 3)])
+    phi = rng.uniform(0.0, 2 * np.pi, n)
+    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi),
+                    rng.uniform(-12.0, 12.0, n)], axis=-1)
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    zs = model.loop_positions()
+    whole = loop_a_phi(0.5, model.loop_current, rho[:, None],
+                       pts[:, 2, None] - zs[None, :]).sum(axis=1)
+    A = a_solenoid(model, pts)
+    np.testing.assert_array_equal(A, fields._azimuthal(pts, rho, whole))
+    # a winding point in the last block is still found
+    pts[-1] = [0.5, 0.0, zs[-1]]
+    with pytest.raises(SingularFieldPoint):
+        a_solenoid(model, pts)
+
+
 def test_retarded_causality_zero_before_arrival():
     traj = TrajectoryHalfCircle(1.0, 0.2, Sense.RIGHT)
     x = np.array([[0.0, -1.0, 5.0]])  # distance 5 from the start point

@@ -12,7 +12,7 @@ from abtroika.modes import (
     _CHUNK_ELEMS,
     _SEGMENT_NODES,
     _fft_keep_mask,
-    _fields_from_state,
+    _inverse_real,
     _rk4_chunk,
     _time_segments,
     analytic_mode,
@@ -171,14 +171,22 @@ def _fields_oracle(state):
 @pytest.mark.parametrize("p", [2, 3])
 def test_fields_from_state_match_symmetrised_transform(p):
     # the one-sided sum 2 Re[...] equals the field built from the explicitly
-    # conjugate-symmetrised mode functions
+    # conjugate-symmetrised mode functions, for two states stacked through
+    # one inverse transform as overlap_gaussian_check stacks them
     g = ModeGrid.fft_pair(8, 6.0)
     rng = np.random.default_rng(7)
-    alpha = rng.normal(size=(g.n_modes, p)) + 1j * rng.normal(size=(g.n_modes, p))
-    st = ModeState(g, alpha, 0j, 0.0)
-    for field, want in zip(_fields_from_state(st), _fields_oracle(st)):
-        assert field.shape == (8, 8, 8, p)
-        assert _rel(field, want) <= 1e-13
+    states = [ModeState(g, rng.normal(size=(g.n_modes, p))
+                        + 1j * rng.normal(size=(g.n_modes, p)), 0j, 0.0)
+              for _ in range(2)]
+    om = g.omega[:, None]
+    alphas = np.hstack([st.alpha for st in states])
+    fields = _inverse_real(g, np.hstack([alphas / np.sqrt(2 * om),
+                                         -1j * np.sqrt(om / 2) * alphas]))
+    assert fields.shape == (8, 8, 8, 4 * p)
+    for j, st in enumerate(states):
+        A, V = _fields_oracle(st)
+        assert _rel(fields[..., j * p:(j + 1) * p], A) <= 1e-13
+        assert _rel(fields[..., (2 + j) * p:(3 + j) * p], V) <= 1e-13
 
 
 # ------------------------------------------------------------ photon number
@@ -685,6 +693,21 @@ def test_gaussian_overlap_identity_random_fields():
         lhs, rhs = overlap_gaussian_check(stL, stR)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst < 1e-8, f"worst relative mismatch {worst:.2e}"
+
+
+def test_gaussian_overlap_reads_the_phase_normalisation():
+    # negative control: the coherent form reads c's real part, the
+    # functional form assumes it is -(1/2) Sum w |alpha|^2, so a state whose
+    # c is off by a real shift must fail the identity by far
+    g = ModeGrid.fft_pair(8, 6.0)
+    rng = np.random.default_rng(11)
+    stL = random_smooth_state(g, rng)
+    stR = random_smooth_state(g, rng)
+    lhs, rhs = overlap_gaussian_check(stL, stR)
+    assert abs(lhs - rhs) / abs(lhs) < 1e-8
+    bad = replace(stR, c_phase=stR.c_phase + 0.1)
+    lhs, rhs = overlap_gaussian_check(stL, bad)
+    assert abs(lhs - rhs) / abs(lhs) > 1e-2
 
 
 def test_gaussian_overlap_identical_configurations():
