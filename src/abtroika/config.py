@@ -79,6 +79,9 @@ class RunConfig:
             # the phases stage also runs phi1 at ramp fraction 2 eta, and the
             # radiated field needs a ramped start
             raise ConfigError(f"eta must satisfy 0 < eta < 0.5, got {self.eta}")
+        if self.seed < 0:
+            # numpy's generators take non-negative seeds only
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.mode_grid_n < 2 or self.crosscheck_grid_n < 2:
             raise ConfigError("mode grid sizes must be >= 2")
         if self.mode_grid_n % 2:

@@ -494,23 +494,20 @@ def _inverse_real(grid: ModeGrid, modes: np.ndarray) -> np.ndarray:
 def random_smooth_state(grid: ModeGrid, rng) -> ModeState:
     """Random smooth real fields (A, Adot) on an fft-pair grid as the coherent
     state alpha = sqrt(omega/2) At + (i/sqrt(2 omega)) Vt, c = -(1/2) Sum w
-    |alpha|^2 (test aid)."""
+    |alpha|^2 (test aid).  Field column j (A in 0-2, Adot in 3-5) sums four
+    waves amp cos(2 pi m.x / L + ph), m in {-2..2}^3, amp ~ 0.35 N(0, 1), ph ~
+    U(0, 2 pi); its transform is (L^3 / (2 pi)^{3/2}) (amp / 2) e^{+-i ph} at
+    +-m mod n (aliased waves add up), on the kept modes only."""
     n = grid.fft_n
-    L = grid.box_length
-    x = np.arange(n) * (L / n)
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    fields = np.zeros((n, n, n, 6))  # A in columns 0-2, Adot in 3-5
-    kbase = 2 * np.pi / L
-    for i in range(3):
-        for col in (i, 3 + i):
-            acc = np.zeros((n, n, n))
-            for _ in range(4):
-                m = rng.integers(-2, 3, 3)
-                amp = rng.normal() * 0.35
-                ph = rng.uniform(0, 2 * np.pi)
-                acc += amp * np.cos(kbase * (m[0] * X + m[1] * Y + m[2] * Z) + ph)
-            fields[..., col] = acc - acc.mean()
-    At, Vt = np.split(_forward(grid, fields), 2, axis=-1)
+    m = rng.integers(-2, 3, (6, 4, 3))
+    amp = rng.normal(size=(6, 4)) * 0.35
+    ph = rng.uniform(0, 2 * np.pi, (6, 4))
+    half = grid.box_length**3 / (2 * np.pi) ** 1.5 * (amp / 2) * np.exp(1j * ph)
+    rows = np.concatenate([m, -m]) % n @ np.array([n * n, n, 1])  # flat FFT index
+    spectrum = np.zeros((n**3, 6), complex)
+    np.add.at(spectrum, (rows, np.arange(12)[:, None] % 6),
+              np.concatenate([half, half.conj()]))
+    At, Vt = np.split(spectrum[_fft_keep_mask(n)], 2, axis=-1)
     om = grid.omega
     alpha = np.sqrt(om / 2)[:, None] * At + 1j / np.sqrt(2 * om)[:, None] * Vt
     c = -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)

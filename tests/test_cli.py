@@ -96,6 +96,17 @@ def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["phases", "modes"])
+def test_negative_seed_exit_2_without_report(tmp_path, capsys, subcommand):
+    # bad input, rejected before any stage runs: not a numerical failure in
+    # the modes stage's random states, and not ignored by the phases stage
+    cfg = write(tmp_path, "seed = -5\n")
+    out = tmp_path / "out"
+    assert run(subcommand, cfg, str(out)) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_all_runs_the_module_stage_functions_in_order(tmp_path, monkeypatch):
     # the benchmark times stages by replacing cli.stage_*; run() must call
     # whatever is installed there when it runs
