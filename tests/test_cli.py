@@ -87,23 +87,13 @@ def test_invalid_eta_exit_2_without_report(tmp_path, capsys, eta):
     ("sweep_lambda = 1.0, -1", "sweep_lambda"),
     ("kmax_sigma_physical = 0", "kmax_sigma_physical"),
     ("max_subdivisions = 0", "max_subdivisions"),
+    ("seed = -5", "seed"),
 ])
 def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
     cfg = write(tmp_path, line + "\n")
     out = tmp_path / "out"
     assert run("all", cfg, str(out)) == 2
     assert key in capsys.readouterr().err
-    assert not (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("subcommand", ["phases", "modes"])
-def test_negative_seed_exit_2_without_report(tmp_path, capsys, subcommand):
-    # bad input, rejected before any stage runs: not a numerical failure in
-    # the modes stage's random states, and not ignored by the phases stage
-    cfg = write(tmp_path, "seed = -5\n")
-    out = tmp_path / "out"
-    assert run(subcommand, cfg, str(out)) == 2
-    assert "seed" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

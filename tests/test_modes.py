@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from abtroika import modes
 from abtroika.geometry import Sense, SmearingProfile, SmearKind, TrajectoryHalfCircle
 from abtroika.modes import (
     ModeGrid,
@@ -12,6 +13,7 @@ from abtroika.modes import (
     _CHUNK_ELEMS,
     _SEGMENT_NODES,
     _fft_keep_mask,
+    _forward,
     _inverse_real,
     _rk4_chunk,
     _time_segments,
@@ -723,6 +725,87 @@ def test_gaussian_overlap_needs_fft_grid():
     g = ModeGrid.cartesian(4, 2.0)
     with pytest.raises(ValueError):
         overlap_gaussian_check(ModeState.vacuum(g), ModeState.vacuum(g))
+
+
+def _twin_draws(seed):
+    """A generator seeded like the one under test, and the three bulk draws
+    random_smooth_state takes from it: wave vectors, amplitudes, phases."""
+    rng = np.random.default_rng(seed)
+    return rng, (rng.integers(-2, 3, (6, 4, 3)), 0.35 * rng.normal(size=(6, 4)),
+                 rng.uniform(0, 2 * np.pi, (6, 4)))
+
+
+def _random_state_oracle(grid, m, amp, ph):
+    """The real-space synthesis the random state stands for: column j of
+    (A, Adot) is Sum_w amp cos(2 pi m.x / L + ph) sampled on the cube, its
+    mean removed, then forward-transformed; (alpha, c) of that field pair."""
+    n, L = grid.fft_n, grid.box_length
+    x = np.arange(n) * (L / n)
+    X = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1)
+    fields = np.zeros((n, n, n, 6))
+    for j in range(6):
+        for w in range(4):
+            fields[..., j] += amp[j, w] * np.cos(2 * np.pi / L * (X @ m[j, w]) + ph[j, w])
+        fields[..., j] -= fields[..., j].mean()
+    At, Vt = np.split(_forward(grid, fields), 2, axis=-1)
+    om = grid.omega[:, None]
+    alpha = np.sqrt(om / 2) * At + 1j / np.sqrt(2 * om) * Vt
+    return alpha, -0.5 * np.sum(grid.weights[:, None] * np.abs(alpha) ** 2)
+
+
+@pytest.mark.parametrize("box", [6.0, 2.5])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+def test_random_state_matches_real_space_synthesis(n, box):
+    # n <= 4 folds |m| = 2 onto the band (n = 3) or onto the dropped Nyquist
+    # rows (n = 4); waves that share a mode add up
+    g = ModeGrid.fft_pair(n, box)
+    for seed in range(5):
+        st = random_smooth_state(g, np.random.default_rng(seed))
+        alpha, c = _random_state_oracle(g, *_twin_draws(seed)[1])
+        assert np.max(np.abs(st.alpha - alpha)) <= 1e-13 * np.max(np.abs(alpha))
+        assert abs(st.c_phase - c) <= 1e-13 * abs(c)
+        assert st.time == 0.0 and st.drive is None
+
+
+def test_random_state_takes_exactly_the_three_bulk_draws():
+    g = ModeGrid.fft_pair(5, 6.0)
+    rng = np.random.default_rng(9)
+    random_smooth_state(g, rng)
+    assert rng.bit_generator.state == _twin_draws(9)[0].bit_generator.state
+
+
+def test_random_state_oracle_sees_one_conjugated_wave():
+    # negative control: negating one wave's phase conjugates its coefficients
+    # at +m and -m; the oracle must tell that state from the one returned
+    g = ModeGrid.fft_pair(8, 6.0)
+    st = random_smooth_state(g, np.random.default_rng(4))
+    m, amp, ph = _twin_draws(4)[1]
+    # the wave whose conjugate moves most: nonzero m, largest |amp sin ph|
+    moved = np.where(np.any(m != 0, axis=-1), np.abs(amp * np.sin(ph)), 0.0)
+    j, w = np.unravel_index(np.argmax(moved), moved.shape)
+    ph = ph.copy()
+    ph[j, w] = -ph[j, w]
+    alpha, _ = _random_state_oracle(g, m, amp, ph)
+    assert np.max(np.abs(st.alpha - alpha)) > 1e-3 * np.max(np.abs(alpha))
+
+
+class _TransformCalled(Exception):
+    pass
+
+
+def test_random_state_takes_no_transform(monkeypatch):
+    # the state comes from its closed-form spectrum, while the Gaussian
+    # check still reconstructs the fields by transform
+    def refuse(*args, **kwargs):
+        raise _TransformCalled
+
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(modes.np.fft, name, refuse)
+    g = ModeGrid.fft_pair(8, 6.0)
+    rng = np.random.default_rng(5)
+    stL, stR = random_smooth_state(g, rng), random_smooth_state(g, rng)
+    with pytest.raises(_TransformCalled):
+        overlap_gaussian_check(stL, stR)
 
 
 # ------------------------------------------------- kernel / field relations
