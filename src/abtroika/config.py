@@ -3,6 +3,7 @@ domain-type invariants before any computation starts."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .geometry import (
@@ -59,6 +60,13 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "tuple") and not all(
+                    map(math.isfinite, value if f.type == "tuple" else (value,))):
+                # a NaN compares false, so it gets past checks such as
+                # `x <= 0` below, and an inf gets past most of them
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         # type invariants of every module fire here, before any computation
         try:
             self.couplings()

@@ -97,6 +97,10 @@ class TrajectoryHalfCircle:
         u = self.speed
         # eta = 0 leaves no time inside the ramp: arc = u max(t, 0)
         t_ramp = self.ramp_fraction * self.traverse_time
+        if t.size == 0 or t.min() >= t_ramp:
+            # no time before the ramp's end (a NaN fails the test): constant
+            # speed throughout, in the same bytes as the general form
+            return u * t_ramp / 2 + u * (t - t_ramp), np.full_like(t, u)
         tc = np.clip(t, 0.0, None)
         spd = np.where(t >= 0.0, u, 0.0)
         arc = np.asarray(u * t_ramp / 2 + u * (tc - t_ramp))  # an array for 0-d t too
@@ -167,11 +171,11 @@ class TrajectoryHalfCircle:
         u pi / (2 eta T) where t < eta T.  From s = 0 on the motion is
         smooth, so an impulsive start (eta = 0) adds nothing."""
         bound = self.speed**2 / self.radius
+        t = np.asarray(t, dtype=float)
         t_ramp = self.ramp_fraction * self.traverse_time
-        if t_ramp == 0.0:
-            return np.full(np.shape(t), bound)
-        return np.where(np.asarray(t) < t_ramp,
-                        bound + self.speed * np.pi / (2 * t_ramp), bound)
+        if t_ramp == 0.0 or t.size == 0 or t.min() >= t_ramp:
+            return np.full(t.shape, bound)
+        return np.where(t < t_ramp, bound + self.speed * np.pi / (2 * t_ramp), bound)
 
     def point_velocity_extended(self, t):
         """Position (N,3) and velocity (N,3) for arbitrary t, built from

@@ -133,16 +133,26 @@ def _earliest_arrival(traj, smear, pts):
 def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidModel,
           n_time: int = 40, n_phi: int = 32) -> float:
     """(1/2) Int_0^T dt' Int d3x A_el(x, t') . J_sol(x), as per-winding line
-    integrals of the electron's retarded potential."""
+    integrals of the electron's retarded potential.
+
+    Only the loops with z >= 0 are integrated: each z > 0 loop counts twice,
+    for its mirror image below the orbit plane, and the middle loop of an
+    odd count once.  The fold is exact because the orbit lies in z = 0: the
+    point charge and the centred line smear give an A_el even in z (the
+    line's Gauss nodes are symmetric about 0), and _earliest_arrival
+    depends on |z| only, so the mirror loop has the same time nodes."""
     if model.kind is not SolenoidKind.FINITE_LOOPS:
         raise ValueError("phi22 requires the FINITE_LOOPS solenoid (compact current)")
     if model.solenoid_radius >= traj.radius:
         raise ValueError("electron must orbit outside the solenoid")
     a = model.solenoid_radius
     zs = model.loop_positions()
+    upper = zs[len(zs) // 2:]  # the loops with z >= 0
+    mult = np.full(upper.size, 2.0)
+    mult[0] -= len(zs) % 2  # the middle loop of an odd count is its own image
     th = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    # all winding points and their tangential line elements
-    P = np.stack(np.meshgrid(zs, th, indexing="ij"), axis=-1).reshape(-1, 2)
+    # the winding points of those loops and their tangential line elements
+    P = np.stack(np.meshgrid(upper, th, indexing="ij"), axis=-1).reshape(-1, 2)
     pts = np.stack([a * np.cos(P[:, 1]), a * np.sin(P[:, 1]), P[:, 0]], axis=-1)
     dl = (2 * np.pi * a / n_phi) * np.stack(
         [-np.sin(P[:, 1]), np.cos(P[:, 1]), np.zeros(len(P))], axis=-1)
@@ -153,7 +163,7 @@ def phi22(traj: TrajectoryHalfCircle, smear: SmearingProfile, model: SolenoidMod
     for tj, wj in zip(tq.T, wq.T):
         A = a_electron_retarded(traj, smear, pts, tj)
         acc += wj * np.einsum("ij,ij->i", A, dl)
-    return 0.5 * model.loop_current * float(np.sum(acc))
+    return 0.5 * model.loop_current * float(np.sum(np.repeat(mult, n_phi) * acc))
 
 
 def cylinder_integral(f, rho_range, z_max, n_phi, spec):

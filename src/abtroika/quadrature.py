@@ -258,7 +258,11 @@ def retarded_time_solve(traj, x, t):
     Safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) from the
     static guess t - |x - x_el(t)|: a step that leaves the bracket [lo, hi]
     falls back to its midpoint, and only unconverged points are iterated.
-    Each pass takes r = |x - x_el(t_r)| and (x - x_el) . v from
+    When every reached point has the same t, the guess takes the source
+    position once, from one traj.separation call at that single time.  The
+    unconverged points' rows, times, iterates and brackets are compacted
+    arrays that shrink as points finish; a finished point writes its t_r
+    back once.  Each pass takes r = |x - x_el(t_r)| and (x - x_el) . v from
     traj.separation on 1-D arrays (the trajectory knows its own shape), so
     the slope is g' = -1 + n.v = -1 + (x - x_el) . v / r.
 
@@ -293,39 +297,39 @@ def retarded_time_solve(traj, x, t):
     pos0, _ = traj.point_velocity_extended(np.zeros(1))
     points = np.flatnonzero(t - np.linalg.norm(x - pos0, axis=-1) >= 0.0)
     tr = np.full(n, np.nan)
-    tp = t[points]
-    tr[points] = np.clip(tp - traj.separation(x.take(points, axis=0), tp)[0], 0.0, tp)
-    lo = np.zeros(n)
-    hi = t.copy()
+    # the unconverged points' indices, rows (take: a row gather several times
+    # faster than x[points]), times, iterates and brackets
+    idx, xs, ts = points, x.take(points, axis=0), t[points]
+    one_time = ts.size > 0 and ts.min() == ts.max()
+    ti = np.clip(ts - traj.separation(xs, ts[:1] if one_time else ts)[0], 0.0, ts)
+    lo, hi = np.zeros(ts.size), ts
     eps = np.finfo(float).eps
     u = traj.speed
-    xtol = 4.0 * eps * t
-    gtol = 8.0 * eps * (t + traj.radius)  # rounding level of the defect
     k_tol = 2.0 * (1.0 - u)  # k = k_tol * xtol in the predicted stop
-    idx = points
     for _ in range(_RETARDED_MAX_ITER):
         if idx.size == 0:
             break
-        ti = tr[idx]
-        xt = xtol[idx]
-        # take: a row gather several times faster than x[idx]
-        r, rv = traj.separation(x.take(idx, axis=0), ti)
-        g = (t[idx] - ti) - r
+        xtol = 4.0 * eps * ts
+        r, rv = traj.separation(xs, ti)
+        g = (ts - ti) - r
         slope = rv / np.where(r > 0.0, r, 1.0) - 1.0
-        lo_i = np.where(g > 0.0, ti, lo[idx])
-        hi_i = np.where(g < 0.0, ti, hi[idx])
+        lo = np.where(g > 0.0, ti, lo)
+        hi = np.where(g < 0.0, ti, hi)
         d = g / slope  # minus the Newton step
         step = ti - d
         # strict: a step onto the bracket edge (g = 0 there) is kept, not bisected
-        bisect = (step < lo_i) | (step > hi_i)
-        k = k_tol * xt
+        bisect = (step < lo) | (step > hi)
+        k = k_tol * xtol
         a_max = traj.acceleration_bound(np.minimum(ti, step))
         predicted = d * d * (2.0 * u * u + a_max * r) <= k * (r - 2.0 * k)
-        step = np.where(bisect, 0.5 * (lo_i + hi_i), step)
-        done = (np.abs(step - ti) <= xt) | (
-            ~bisect & (predicted | (np.abs(g) <= gtol[idx])))
-        tr[idx], lo[idx], hi[idx] = step, lo_i, hi_i
-        idx = idx[~done]
+        step = np.where(bisect, 0.5 * (lo + hi), step)
+        # the defect's rounding level is 8 eps (t + R)
+        done = (np.abs(step - ti) <= xtol) | (
+            ~bisect & (predicted | (np.abs(g) <= 8.0 * eps * (ts + traj.radius))))
+        tr[idx[done]] = step[done]
+        keep = np.flatnonzero(~done)
+        idx, xs, ts, ti, lo, hi = (a.take(keep, axis=0)
+                                   for a in (idx, xs, ts, step, lo, hi))
     if idx.size:
         raise QuadratureError(
             f"retarded-time solve did not converge in {_RETARDED_MAX_ITER} "

@@ -97,6 +97,26 @@ def test_invalid_value_exit_2_without_report(tmp_path, capsys, line, key):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("quad_abs_tol = nan", "quad_abs_tol"),
+    ("rho_max_over_r = nan", "rho_max_over_r"),
+    ("flux = nan", "flux"),
+    ("kmax_sigma_physical = nan", "kmax_sigma_physical"),
+    ("kmax_sigma = nan", "kmax_sigma"),
+    ("lam = inf", "lam"),
+    ("fine_structure = inf", "fine_structure"),
+    ("sweep_lambda = 1.0, inf", "sweep_lambda"),
+    ("eps_sequence = 0.02, 0.01, -inf", "eps_sequence"),
+])
+def test_non_finite_value_exit_2_without_report(tmp_path, capsys, line, key):
+    # a NaN compares false with every bound, so range checks alone let it by
+    cfg = write(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert run("all", cfg, str(out)) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_all_runs_the_module_stage_functions_in_order(tmp_path, monkeypatch):
     # the benchmark times stages by replacing cli.stage_*; run() must call
     # whatever is installed there when it runs

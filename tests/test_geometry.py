@@ -106,6 +106,61 @@ def test_ramp_arc_speed_matches_full_array_form(t_over_T):
             assert np.asarray(g).tobytes() == ref.tobytes()
 
 
+def _forbid_the_general_form(monkeypatch):
+    """Make np.clip and np.where raise, so only the constant-speed path runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general form evaluated")
+    monkeypatch.setattr(np, "clip", forbidden)
+    monkeypatch.setattr(np, "where", forbidden)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+@pytest.mark.parametrize("t_over_T", [
+    np.linspace(0.01, 1.1, 1201), np.array([0.01, 0.5, 1.0, 2.0]),
+    np.array([[0.3, 1.0], [0.02, 0.7]]), 0.7])
+def test_arc_speed_past_the_ramp_takes_the_constant_speed_path(
+        monkeypatch, eta, t_over_T):
+    # every time at or past the end of the ramp (its first instant
+    # included): the same bytes as the full-array form, without it
+    traj = make_traj(beta=0.3, eta=eta)
+    t = np.asarray(t_over_T) * traj.traverse_time
+    if eta == 0.0:
+        t = np.append(t, [0.0, -0.0])  # an empty ramp ends at t = 0
+    ref = _full_array_arc_speed(traj, t) if eta else _unramped_arc_speed(traj, t)
+    _forbid_the_general_form(monkeypatch)
+    for g, want in zip(traj._arc_speed(t), ref):
+        assert np.shape(g) == np.shape(t)
+        assert np.asarray(g).tobytes() == want.tobytes()
+
+
+def test_arc_speed_before_the_ramp_end_takes_the_general_form(monkeypatch):
+    traj = make_traj(beta=0.3, eta=0.01)
+    t = np.array([0.5, 0.004]) * traj.traverse_time  # one time inside the ramp
+    _forbid_the_general_form(monkeypatch)
+    with pytest.raises(AssertionError, match="general form"):
+        traj._arc_speed(t)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,)])
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+def test_acceleration_bound_past_the_ramp_is_a_full_centripetal_array(
+        monkeypatch, shape, eta):
+    traj = make_traj(beta=0.3, eta=eta)
+    T = traj.traverse_time
+    t = np.full(shape, 0.5 * T)
+    if t.size:
+        t.flat[0] = eta * T  # the end of the ramp itself
+    inside = traj.acceleration_bound(np.full(shape, 0.5 * eta * T))
+    _forbid_the_general_form(monkeypatch)
+    bound = traj.acceleration_bound(t)
+    assert isinstance(bound, np.ndarray) and bound.dtype == float
+    assert bound.shape == t.shape
+    assert np.all(bound == traj.speed**2 / traj.radius)
+    # inside the ramp the tangential term adds to it
+    assert inside.shape == t.shape
+    assert np.all(inside > bound) if eta else np.all(inside == bound)
+
+
 @pytest.mark.parametrize("sense", list(Sense))
 @pytest.mark.parametrize("eta", [0.0, 0.05])
 def test_angle_speed_gives_position_and_velocity(sense, eta):

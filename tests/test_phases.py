@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from abtroika import phases
-from abtroika.fields import a_dot_electron, a_solenoid
+from abtroika.fields import a_dot_electron, a_electron_retarded, a_solenoid
 from abtroika.geometry import (
     Sense,
     SmearingProfile,
+    SmearKind,
     SolenoidKind,
     SolenoidModel,
     TrajectoryHalfCircle,
@@ -115,6 +116,60 @@ def test_phi22_flux_linearity():
     one = phi22(traj(beta=0.1), POINT, LOOPS, n_time=16, n_phi=8)
     two = phi22(traj(beta=0.1), POINT, double, n_time=16, n_phi=8)
     np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
+
+
+def _phi22_over_loops(tr, smear, model, zs, mult, n_time, n_phi):
+    """Oracle: phi22 summed loop by loop over the loops at heights zs, each
+    counted mult times (every loop once is the unfolded sum)."""
+    a = model.solenoid_radius
+    th = 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    dl = (2 * np.pi * a / n_phi) * np.stack(
+        [-np.sin(th), np.cos(th), np.zeros(n_phi)], axis=-1)
+    total = 0.0
+    for z, m in zip(zs, mult):
+        pts = np.stack([a * np.cos(th), a * np.sin(th), np.full(n_phi, z)], axis=-1)
+        t_on = phases._earliest_arrival(tr, smear, pts)
+        tq, wq = phases.gauss_legendre(t_on, np.maximum(tr.traverse_time, t_on), n_time)
+        for tj, wj in zip(tq.T, wq.T):
+            A = a_electron_retarded(tr, smear, pts, tj)
+            total += m * float(np.sum(wj * np.einsum("ij,ij->i", A, dl)))
+    return 0.5 * model.loop_current * total
+
+
+_FOLD_SMEARS = [POINT, SmearingProfile(SmearKind.LINE_Z, 1.0)]
+
+
+@pytest.mark.parametrize("n_loops", [2, 3, 25, 50, 51])
+@pytest.mark.parametrize("smear", _FOLD_SMEARS, ids=["point", "line_z"])
+@pytest.mark.parametrize("beta", [0.1, 0.3])
+def test_phi22_on_the_upper_loops_matches_the_sum_over_all_loops(n_loops, smear, beta):
+    # the loops below the orbit plane repeat their mirror images above it;
+    # at beta = 0.3 the start-up front (cT = 10.5 R) leaves the outer loops
+    # of the 20 R solenoid unreached and crosses the ones within reach
+    tr = traj(beta=beta, eta=0.01)
+    model = dataclasses.replace(LOOPS, n_loops=n_loops)
+    got = phi22(tr, smear, model, n_time=6, n_phi=8)
+    zs = model.loop_positions()
+    want = _phi22_over_loops(tr, smear, model, zs, np.ones(n_loops), 6, 8)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n_loops", [3, 50, 51])
+def test_phi22_fold_errors_are_detected(n_loops):
+    # negative controls for the oracle above: the upper loops counted once
+    # each, or the middle loop of an odd count counted twice, miss the
+    # all-loops sum by more than 1e7 times its 1e-13 bound
+    tr = traj(beta=0.3, eta=0.01)
+    model = dataclasses.replace(LOOPS, n_loops=n_loops)
+    zs = model.loop_positions()
+    upper = zs[n_loops // 2:]
+    want = _phi22_over_loops(tr, POINT, model, zs, np.ones(n_loops), 6, 8)
+    undoubled = _phi22_over_loops(tr, POINT, model, upper, np.ones(upper.size), 6, 8)
+    assert abs(undoubled - want) > 1e-6 * abs(want)
+    if n_loops % 2:
+        middle_twice = _phi22_over_loops(tr, POINT, model, upper,
+                                         np.full(upper.size, 2.0), 6, 8)
+        assert abs(middle_twice - want) > 1e-6 * abs(want)
 
 
 # ---------------------------------------------------------------------- phi1

@@ -412,7 +412,9 @@ def _record_calls(monkeypatch, *methods):
 
     One solve makes, in order: the front test at t = 0
     (point_velocity_extended), the static guess and one call per Newton
-    pass (separation), and the source terms at t_r (source_terms)."""
+    pass (separation), and the source terms at t_r (source_terms).  When
+    every reached point shares one time, the static guess is taken at that
+    one time."""
     sizes = []
 
     def counted(original):
@@ -446,7 +448,7 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
 
     calls = _record_calls(monkeypatch, "separation")
     tr = retarded_time_solve(traj, x, t)[0]
-    newton_passes = len(calls) - 1  # the static guess
+    guess, passes = calls[0], calls[1:]
 
     ref = _bisection_retarded_time(traj, x, t)
     np.testing.assert_array_equal(np.isnan(tr), np.isnan(ref))
@@ -454,7 +456,13 @@ def test_retarded_time_newton_matches_bisection(monkeypatch, beta, eta, t_over_T
     assert ok.any()
     assert np.all(np.abs(tr[ok] - ref[ok]) <= 1e-13 * t)
     assert np.all((tr[ok] >= 0.0) & (tr[ok] <= t))
-    assert 1 <= newton_passes < quadrature._RETARDED_MAX_ITER
+    # the static guess at the one time t, then Newton passes on shrinking
+    # subsets of the reached points
+    assert guess == 1
+    assert 1 <= len(passes) < quadrature._RETARDED_MAX_ITER
+    assert passes[0] == ok.sum()
+    assert all(b <= a for a, b in zip(passes, passes[1:]))
+    assert sum(passes) < 8 * len(x)
 
 
 def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
@@ -464,12 +472,66 @@ def test_retarded_time_iterates_only_unconverged_points(monkeypatch):
     points = _record_calls(monkeypatch, "point_velocity_extended", "separation",
                            "source_terms")
     reached = retarded_time_solve(traj, x, t)[1].size
-    assert points[0] == 1 and points[1] == points[-1] == reached
+    # the front test and the static guess each at one time
+    assert points[:2] == [1, 1] and points[-1] == reached
     passes = points[2:-1]
     assert passes and passes[0] == reached
     # every later pass works on a shrinking subset; bisection would spend 71 N
     assert all(b <= a for a, b in zip(passes, passes[1:]))
     assert sum(points) < 8 * len(x)
+
+
+def _record_rows_and_times(monkeypatch):
+    """List that receives, in call order, (method, rows of x, number of
+    times) for every point_velocity_extended, separation and source_terms
+    call of the trajectory (rows is None for point_velocity_extended)."""
+    calls = []
+
+    def counted(name, original):
+        def call(self, *args):
+            rows = np.shape(args[0])[0] if len(args) == 2 else None
+            calls.append((name, rows, np.size(args[-1])))
+            return original(self, *args)
+        return call
+
+    for name in ("point_velocity_extended", "separation", "source_terms"):
+        monkeypatch.setattr(TrajectoryHalfCircle, name,
+                            counted(name, getattr(TrajectoryHalfCircle, name)))
+    return calls
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.01])
+def test_retarded_time_one_time_takes_one_source_position(monkeypatch, eta):
+    traj = TrajectoryHalfCircle(1.0, 0.3, Sense.RIGHT, ramp_fraction=eta)
+    t = traj.traverse_time
+    x = np.random.default_rng(8).uniform(-6, 6, (3000, 3))
+    calls = _record_rows_and_times(monkeypatch)
+    tr, points, _ = retarded_time_solve(traj, x, t)
+    n = points.size
+    assert 0 < n < len(x)
+    # the front test at t = 0, the source position at the one time t for
+    # the static guess, one separation per Newton pass at the unconverged
+    # points and their own times, and the source terms at t_r
+    assert calls[0] == ("point_velocity_extended", None, 1)
+    assert calls[1] == ("separation", n, 1)
+    assert calls[-1] == ("source_terms", n, n)
+    passes = calls[2:-1]
+    assert passes and all(name == "separation" and rows == size
+                          for name, rows, size in passes)
+    sizes = [size for _, _, size in passes]
+    assert sizes[0] == n and all(b <= a for a, b in zip(sizes, sizes[1:]))
+
+    # unequal times take the static guess at every point's own time; the
+    # shared points' t_r agree within the float-bisection bound
+    extra = np.array([[0.2, -0.9, 0.1]])
+    calls.clear()
+    tr_mixed = retarded_time_solve(traj, np.vstack([x, extra]),
+                                   np.append(np.full(len(x), t), 0.5 * t))[0]
+    assert calls[1] == ("separation", n + 1, n + 1)
+    assert np.isfinite(tr_mixed[-1])
+    np.testing.assert_array_equal(np.isnan(tr_mixed[:-1]), np.isnan(tr))
+    ok = ~np.isnan(tr)
+    assert np.all(np.abs(tr_mixed[:-1][ok] - tr[ok]) <= 8 * np.finfo(float).eps * t)
 
 
 def test_retarded_time_looks_up_positions_at_most_twice(monkeypatch):
